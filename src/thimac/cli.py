@@ -22,7 +22,8 @@ from pathlib import Path
 
 from . import events as events_mod
 from . import __version__
-from .dsl import ParseResult, SourceDocument, emit_dot, parse, serialize
+from .dsl import ParseResult, SourceDocument, emit_behavior_dot, emit_dot
+from .dsl import parse, serialize
 from .model import StaticModel
 from .simulate import (
     ScenarioError,
@@ -159,13 +160,7 @@ def cmd_behavior(args) -> int:
         )
         raise SystemExit(4)
     if args.dot:
-        lines = [f"digraph {name} {{", "  node [shape=ellipse, fontsize=10];"]
-        for eid in behavior.events:
-            lines.append(f'  "{eid}";')
-        for a, b in behavior.edges:
-            lines.append(f'  "{a}" -> "{b}";')
-        lines.append("}")
-        print("\n".join(lines))
+        sys.stdout.write(emit_behavior_dot(name, behavior))
     else:
         for a, b in behavior.edges:
             print(f"{a} -> {b}")

@@ -20,6 +20,11 @@ chronologies.  The format is line-oriented and deliberately small:
                                     system.request.process] time 0..2 }
     behavior main { request_granted -> request_granted_next; }
 
+Names are ASCII letters, digits and underscores, not starting with a
+digit.  Numbers (anchors, ticks) are runs of decimal digits: any Unicode
+decimal digit counts, so ``٣`` reads as 3, while digit-like characters
+that are not decimal, such as ``²``, are unexpected characters.
+
 Parsing never raises for bad input: every problem becomes a
 ParseDiagnostic with a 1-based line and column, and a document with any
 error yields no model.  Serialization is canonical (stages in kind order,
@@ -29,7 +34,9 @@ identity on models and re-serialization is byte-stable.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import events as events_mod
 from .model import ActionKind, KIND_ORDER, ModelError, Region, StaticModel, new_model
@@ -50,8 +57,6 @@ STRUCTURE_KEYWORDS = {
 }
 #: Reserved words: the five generic actions plus the structural keywords.
 RESERVED_WORDS = frozenset(STAGE_KEYWORDS) | frozenset(STRUCTURE_KEYWORDS)
-
-_PUNCT = ("->", "=>", "..", "{", "}", "[", "]", ";", ",", ".")
 
 
 @dataclass(frozen=True)
@@ -85,144 +90,69 @@ class ParseResult:
         return self.model is not None
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident" | "int" | "string" | "eof" | one of _PUNCT
+class _Token(NamedTuple):
+    kind: str  # "ident" | "int" | "string" | "eof" | the punctuation itself
     value: str
     line: int
     column: int
+
+    @property
+    def shown(self) -> str:
+        return self.value or self.kind
+
+
+# Every character starts exactly one match, so finditer covers the text.
+# A string stops before a newline; a backslash escapes only '"' and '\'.
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<skip>[ \t\r\n]+|\#[^\n]*)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<int>\d+)
+    | (?P<string>"(?P<body>(?:[^"\\\n]+|\\["\\]?)*)(?P<closed>")?)
+    | (?P<punct>->|=>|\.\.|[{}\[\];,.])
+    | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE_RE = re.compile(r'\\(["\\])')
 
 
 def _tokenize(text: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
     toks: list[_Token] = []
     diags: list[ParseDiagnostic] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def bump(ch: str) -> None:
-        nonlocal line, col
-        if ch == "\n":
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, start = m.lastgroup, m.start()
+        column = start - line_start + 1
+        if kind == "skip":
+            last_newline = text.rfind("\n", start, m.end())
+            if last_newline >= 0:
+                line += text.count("\n", start, m.end())
+                line_start = last_newline + 1
+        elif kind == "string":
+            if m.group("closed") is None:
+                message = "unterminated string"
+                diags.append(ParseDiagnostic("error", message, line, column))
+            body = _ESCAPE_RE.sub(r"\1", m.group("body"))
+            toks.append(_Token("string", body, line, column))
+        elif kind == "bad":
+            message = f"unexpected character {m.group()!r}"
+            diags.append(ParseDiagnostic("error", message, line, column))
         else:
-            col += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            bump(ch)
-            i += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                bump(text[i])
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            i += 1
-            bump(ch)
-            buf: list[str] = []
-            closed = False
-            while i < n:
-                c = text[i]
-                if c == "\n":
-                    break
-                bump(c)
-                i += 1
-                if c == "\\" and i < n and text[i] in '"\\':
-                    buf.append(text[i])
-                    bump(text[i])
-                    i += 1
-                elif c == '"':
-                    closed = True
-                    break
-                else:
-                    buf.append(c)
-            if not closed:
-                diags.append(
-                    ParseDiagnostic(
-                        "error", "unterminated string", start_line, start_col
-                    )
-                )
-            toks.append(_Token("string", "".join(buf), start_line, start_col))
-            continue
-        if ch.isascii() and (ch.isalpha() or ch == "_"):
-            j = i
-            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            for c in word:
-                bump(c)
-            i = j
-            toks.append(_Token("ident", word, start_line, start_col))
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            word = text[i:j]
-            for c in word:
-                bump(c)
-            i = j
-            toks.append(_Token("int", word, start_line, start_col))
-            continue
-        two = text[i : i + 2]
-        if two in ("->", "=>", ".."):
-            toks.append(_Token(two, two, start_line, start_col))
-            bump(ch)
-            bump(text[i + 1])
-            i += 2
-            continue
-        if ch in "{}[];,.":
-            toks.append(_Token(ch, ch, start_line, start_col))
-            bump(ch)
-            i += 1
-            continue
-        diags.append(
-            ParseDiagnostic(
-                "error", f"unexpected character {ch!r}", start_line, start_col
-            )
-        )
-        bump(ch)
-        i += 1
-    toks.append(_Token("eof", "", line, col))
+            word = m.group()
+            toks.append(_Token(word if kind == "punct" else kind, word, line, column))
+    toks.append(_Token("eof", "", line, len(text) - line_start + 1))
     return toks, diags
 
 
-@dataclass
-class _PendingFlow:
+class _PendingArrow(NamedTuple):
+    """A flow or a trigger, resolved once every thimac is declared."""
+
+    keyword: _Token  # "flow" or "trigger"; also where diagnostics point
     src: str
     dst: str
     carries: str | None
     anchor: int | None
-    line: int
-    column: int
-
-
-@dataclass
-class _PendingTrigger:
-    src: str
-    dst: str
-    line: int
-    column: int
-
-
-@dataclass
-class _PendingEvent:
-    name: str
-    refs: list[str]
-    time: TimeSubthimac | None
-    line: int
-    column: int
-
-
-@dataclass
-class _PendingBehavior:
-    name: str
-    edges: list[tuple[str, str, int, int]]  # (pred, succ, line, col)
-    line: int
-    column: int
 
 
 class _Parser:
@@ -231,10 +161,10 @@ class _Parser:
         self.i = 0
         self.diags = diags
         self.model = new_model()
-        self.flows: list[_PendingFlow] = []
-        self.triggers: list[_PendingTrigger] = []
-        self.events: list[_PendingEvent] = []
-        self.behaviors: list[_PendingBehavior] = []
+        self.arrows: list[_PendingArrow] = []
+        # (name, stage refs, time) and (name, [(predecessor, successor)])
+        self.events: list[tuple[_Token, list[str], TimeSubthimac | None]] = []
+        self.behaviors: list[tuple[_Token, list[tuple[_Token, _Token]]]] = []
 
     # -- token plumbing -------------------------------------------------
 
@@ -255,8 +185,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == kind:
             return self.advance()
-        shown = tok.value or tok.kind
-        self.error(f"expected {what}, found {shown!r}")
+        self.error(f"expected {what}, found {tok.shown!r}")
         return None
 
     def sync(self, *stops: str) -> None:
@@ -272,30 +201,28 @@ class _Parser:
     # -- grammar ---------------------------------------------------------
 
     def parse_document(self) -> None:
+        starts = {
+            "thimac": self.parse_thimac,
+            "flow": self.parse_arrow,
+            "trigger": self.parse_arrow,
+            "event": self.parse_event,
+            "behavior": self.parse_behavior,
+        }
         while self.peek().kind != "eof":
             tok = self.peek()
-            if tok.kind == "ident" and tok.value == "thimac":
-                self.parse_thimac(parent=None, build=True)
-            elif tok.kind == "ident" and tok.value == "flow":
-                self.parse_flow()
-            elif tok.kind == "ident" and tok.value == "trigger":
-                self.parse_trigger()
-            elif tok.kind == "ident" and tok.value == "event":
-                self.parse_event()
-            elif tok.kind == "ident" and tok.value == "behavior":
-                self.parse_behavior()
+            if tok.kind == "ident" and tok.value in starts:
+                starts[tok.value]()
             else:
-                shown = tok.value or tok.kind
                 self.error(
                     f"expected thimac, flow, trigger, event, or behavior, "
-                    f"found {shown!r}"
+                    f"found {tok.shown!r}"
                 )
                 self.sync(";", "}")
 
     def parse_name(self, what: str) -> _Token | None:
         tok = self.peek()
         if tok.kind != "ident":
-            self.error(f"expected {what}, found {tok.value or tok.kind!r}")
+            self.error(f"expected {what}, found {tok.shown!r}")
             return None
         if tok.value in RESERVED_WORDS:
             self.error(f"{tok.value!r} is a reserved word and cannot name a {what}")
@@ -303,11 +230,48 @@ class _Parser:
             return None
         return self.advance()
 
-    def parse_thimac(self, parent: str | None, build: bool) -> None:
+    def parse_thimac(self) -> None:
+        """A top-level thimac block with everything nested inside it.
+
+        ``blocks`` holds the open blocks, innermost last, as (keyword,
+        thimac id); the id is None when the block could not be built, and
+        nothing inside such a block is built either.
+        """
+        blocks: list[tuple[_Token, str | None]] = []
+        self.open_thimac(blocks)
+        while blocks:
+            kw, tid = blocks[-1]
+            tok = self.peek()
+            if tok.kind == "}":
+                self.advance()
+                blocks.pop()
+            elif tok.kind == "eof":
+                self.error("unclosed thimac block (missing '}')", kw)
+                blocks.pop()
+            elif tok.kind == "ident" and tok.value == "thimac":
+                self.open_thimac(blocks)
+            elif tok.kind == "ident" and tok.value in STAGE_KEYWORDS:
+                self.parse_stage(tid)
+            else:
+                self.error(
+                    f"{tok.shown!r} is not a generic action (expected create, "
+                    "process, release, transfer, or receive)"
+                )
+                self.sync(";", "}")
+                if self.toks[self.i - 1].kind == "}":
+                    blocks.pop()
+
+    def open_thimac(self, blocks: list[tuple[_Token, str | None]]) -> None:
+        """Read ``thimac NAME {`` and push the block it opens.
+
+        Without the '{' nothing is pushed and input is skipped past the next
+        '}', which may be the enclosing block's.
+        """
         kw = self.advance()  # "thimac"
         name = self.parse_name("thimac")
+        parent = blocks[-1][1] if blocks else None
         tid: str | None = None
-        if name is not None and build:
+        if name is not None and (parent is not None or not blocks):
             try:
                 tid = self.model.add_thimac(name.value, parent)
                 self.model.origin[tid] = (name.line, name.column)
@@ -315,28 +279,8 @@ class _Parser:
                 self.error(str(exc), name)
         if self.expect("{", "'{'") is None:
             self.sync("}")
-            return
-        while True:
-            tok = self.peek()
-            if tok.kind == "}":
-                self.advance()
-                return
-            if tok.kind == "eof":
-                self.error("unclosed thimac block (missing '}')", kw)
-                return
-            if tok.kind == "ident" and tok.value == "thimac":
-                self.parse_thimac(parent=tid, build=tid is not None)
-            elif tok.kind == "ident" and tok.value in STAGE_KEYWORDS:
-                self.parse_stage(tid)
-            else:
-                shown = tok.value or tok.kind
-                self.error(
-                    f"{shown!r} is not a generic action (expected create, "
-                    "process, release, transfer, or receive)"
-                )
-                self.sync(";", "}")
-                if self.toks[self.i - 1].kind == "}":
-                    return
+        else:
+            blocks.append((kw, tid))
 
     def parse_stage(self, owner: str | None) -> None:
         kw = self.advance()
@@ -361,16 +305,14 @@ class _Parser:
         parts: list[str] = []
         tok = self.peek()
         if tok.kind != "ident":
-            self.error(f"expected a stage reference, found {tok.value or tok.kind!r}")
+            self.error(f"expected a stage reference, found {tok.shown!r}")
             return None
         parts.append(self.advance().value)
         while self.peek().kind == ".":
             self.advance()
             tok = self.peek()
             if tok.kind != "ident":
-                self.error(
-                    f"expected a name after '.', found {tok.value or tok.kind!r}"
-                )
+                self.error(f"expected a name after '.', found {tok.shown!r}")
                 return None
             parts.append(self.advance().value)
         if len(parts) < 2:
@@ -378,24 +320,23 @@ class _Parser:
             return None
         return ".".join(parts)
 
-    def parse_flow(self) -> None:
+    def parse_arrow(self) -> None:
+        """``flow A -> B [carries "..."] [anchor N];`` or ``trigger A => B;``."""
         kw = self.advance()
+        arrow = "->" if kw.value == "flow" else "=>"
         src = self.parse_stage_ref()
-        if src is None or self.expect("->", "'->'") is None:
-            self.sync(";", "}")
-            return
-        dst = self.parse_stage_ref()
+        dst = src and self.expect(arrow, f"'{arrow}'") and self.parse_stage_ref()
         if dst is None:
             self.sync(";", "}")
             return
         carries: str | None = None
         anchor: int | None = None
-        while self.peek().kind == "ident" and self.peek().value in (
-            "carries",
-            "anchor",
+        while (
+            kw.value == "flow"
+            and self.peek().kind == "ident"
+            and self.peek().value in ("carries", "anchor")
         ):
-            opt = self.advance()
-            if opt.value == "carries":
+            if self.advance().value == "carries":
                 s = self.expect("string", "a quoted thing label")
                 if s is None:
                     self.sync(";", "}")
@@ -408,23 +349,10 @@ class _Parser:
                     return
                 anchor = int(num.value)
         self.expect(";", "';'")
-        self.flows.append(_PendingFlow(src, dst, carries, anchor, kw.line, kw.column))
-
-    def parse_trigger(self) -> None:
-        kw = self.advance()
-        src = self.parse_stage_ref()
-        if src is None or self.expect("=>", "'=>'") is None:
-            self.sync(";", "}")
-            return
-        dst = self.parse_stage_ref()
-        if dst is None:
-            self.sync(";", "}")
-            return
-        self.expect(";", "';'")
-        self.triggers.append(_PendingTrigger(src, dst, kw.line, kw.column))
+        self.arrows.append(_PendingArrow(kw, src, dst, carries, anchor))
 
     def parse_event(self) -> None:
-        kw = self.advance()
+        self.advance()
         name = self.parse_name("event")
         if name is None or self.expect("{", "'{'") is None:
             self.sync("}")
@@ -457,10 +385,7 @@ class _Parser:
         if tok.kind == "ident" and tok.value == "time":
             self.advance()
             lo = self.expect("int", "a start tick")
-            if lo is None or self.expect("..", "'..'") is None:
-                self.sync("}")
-                return
-            hi = self.expect("int", "an end tick")
+            hi = lo and self.expect("..", "'..'") and self.expect("int", "an end tick")
             if hi is None:
                 self.sync("}")
                 return
@@ -471,7 +396,7 @@ class _Parser:
         if self.expect("}", "'}'") is None:
             self.sync("}")
             return
-        self.events.append(_PendingEvent(name.value, refs, time, name.line, name.column))
+        self.events.append((name, refs, time))
 
     def parse_behavior(self) -> None:
         kw = self.advance()
@@ -479,7 +404,7 @@ class _Parser:
         if name is None or self.expect("{", "'{'") is None:
             self.sync("}")
             return
-        edges: list[tuple[str, str, int, int]] = []
+        edges: list[tuple[_Token, _Token]] = []
         while True:
             tok = self.peek()
             if tok.kind == "}":
@@ -489,159 +414,82 @@ class _Parser:
                 self.error("unclosed behavior block (missing '}')", kw)
                 return
             pred = self.expect("ident", "an event name")
-            if pred is None or self.expect("->", "'->'") is None:
-                self.sync(";", "}")
-                if self.toks[self.i - 1].kind == "}":
-                    break
-                continue
-            succ = self.expect("ident", "an event name")
+            arrow = pred and self.expect("->", "'->'")
+            succ = arrow and self.expect("ident", "an event name")
             if succ is None:
                 self.sync(";", "}")
                 if self.toks[self.i - 1].kind == "}":
                     break
                 continue
             self.expect(";", "';'")
-            edges.append((pred.value, succ.value, pred.line, pred.column))
-        self.behaviors.append(
-            _PendingBehavior(name.value, edges, name.line, name.column)
-        )
+            edges.append((pred, succ))
+        self.behaviors.append((name, edges))
 
     # -- late resolution ---------------------------------------------------
 
     def resolve(self) -> tuple[list[EventDef], dict[str, BehaviorModel]]:
         model = self.model
-        for pf in self.flows:
-            src = model.resolve_stage_ref(pf.src)
-            dst = model.resolve_stage_ref(pf.dst)
-            missing = pf.src if src is None else (pf.dst if dst is None else None)
-            if missing is not None:
-                self.diags.append(
-                    ParseDiagnostic(
-                        "error",
-                        f"unknown stage reference {missing!r}",
-                        pf.line,
-                        pf.column,
-                    )
-                )
+        # Every flow before every trigger, each kind in declaration order.
+        for kw, src_ref, dst_ref, carries, anchor in sorted(
+            self.arrows, key=lambda arrow: arrow.keyword.value == "trigger"
+        ):
+            src = model.resolve_stage_ref(src_ref)
+            dst = model.resolve_stage_ref(dst_ref)
+            if src is None or dst is None:
+                missing = src_ref if src is None else dst_ref
+                self.error(f"unknown stage reference {missing!r}", kw)
                 continue
             try:
-                fid = model.add_flow(src, dst, pf.carries, pf.anchor)
-                model.origin[fid] = (pf.line, pf.column)
-            except ModelError as exc:
-                self.diags.append(
-                    ParseDiagnostic("error", str(exc), pf.line, pf.column)
-                )
-        for pt in self.triggers:
-            src = model.resolve_stage_ref(pt.src)
-            dst = model.resolve_stage_ref(pt.dst)
-            missing = pt.src if src is None else (pt.dst if dst is None else None)
-            if missing is not None:
-                self.diags.append(
-                    ParseDiagnostic(
-                        "error",
-                        f"unknown stage reference {missing!r}",
-                        pt.line,
-                        pt.column,
-                    )
-                )
-                continue
-            try:
-                gid = model.add_trigger(src, dst)
-                model.origin[gid] = (pt.line, pt.column)
-            except ModelError as exc:
-                self.diags.append(
-                    ParseDiagnostic("error", str(exc), pt.line, pt.column)
-                )
-
-        defined_events: list[EventDef] = []
-        seen_events: dict[str, _PendingEvent] = {}
-        for pe in self.events:
-            if pe.name in seen_events:
-                self.diags.append(
-                    ParseDiagnostic(
-                        "error",
-                        f"event {pe.name!r} is already declared",
-                        pe.line,
-                        pe.column,
-                    )
-                )
-                continue
-            sids: list[str] = []
-            bad = False
-            for ref in pe.refs:
-                sid = model.resolve_stage_ref(ref)
-                if sid is None:
-                    self.diags.append(
-                        ParseDiagnostic(
-                            "error",
-                            f"unknown stage reference {ref!r}",
-                            pe.line,
-                            pe.column,
-                        )
-                    )
-                    bad = True
+                if kw.value == "flow":
+                    aid = model.add_flow(src, dst, carries, anchor)
                 else:
-                    sids.append(sid)
-            if bad:
+                    aid = model.add_trigger(src, dst)
+            except ModelError as exc:
+                self.error(str(exc), kw)
+                continue
+            model.origin[aid] = (kw.line, kw.column)
+
+        defined: dict[str, EventDef] = {}
+        for name, refs, time in self.events:
+            if name.value in defined:
+                self.error(f"event {name.value!r} is already declared", name)
+                continue
+            sids = [model.resolve_stage_ref(ref) for ref in refs]
+            for ref, sid in zip(refs, sids):
+                if sid is None:
+                    self.error(f"unknown stage reference {ref!r}", name)
+            if None in sids:
                 continue
             try:
-                ev = events_mod.define_event(model, pe.name, sids, pe.time)
+                ev = events_mod.define_event(model, name.value, sids, time)
             except (events_mod.EventError, ModelError) as exc:
-                self.diags.append(
-                    ParseDiagnostic("error", str(exc), pe.line, pe.column)
-                )
+                self.error(str(exc), name)
                 continue
-            seen_events[pe.name] = pe
-            defined_events.append(ev)
+            defined[ev.id] = ev
 
         behaviors: dict[str, BehaviorModel] = {}
-        by_id = {ev.id: ev for ev in defined_events}
-        for pb in self.behaviors:
-            if pb.name in behaviors:
-                self.diags.append(
-                    ParseDiagnostic(
-                        "error",
-                        f"behavior {pb.name!r} is already declared",
-                        pb.line,
-                        pb.column,
-                    )
-                )
+        for name, edges in self.behaviors:
+            if name.value in behaviors:
+                self.error(f"behavior {name.value!r} is already declared", name)
                 continue
-            edges: list[tuple[str, str]] = []
-            for pred, succ, line, col in pb.edges:
-                bad = False
-                for end in (pred, succ):
-                    if end not in by_id:
-                        self.diags.append(
-                            ParseDiagnostic(
-                                "error", f"unknown event {end!r}", line, col
-                            )
-                        )
-                        bad = True
-                if pred == succ:
-                    self.diags.append(
-                        ParseDiagnostic(
-                            "error",
-                            f"event {pred!r} cannot precede itself",
-                            line,
-                            col,
-                        )
-                    )
-                    bad = True
-                if not bad:
-                    edges.append((pred, succ))
-            behaviors[pb.name] = events_mod.build_behavior(
-                defined_events, edges
-            )
-        return defined_events, behaviors
+            kept: list[tuple[str, str]] = []
+            for pred, succ in edges:
+                unknown = [e for e in (pred.value, succ.value) if e not in defined]
+                for end in unknown:
+                    self.error(f"unknown event {end!r}", pred)
+                if pred.value == succ.value:
+                    self.error(f"event {pred.value!r} cannot precede itself", pred)
+                elif not unknown:
+                    kept.append((pred.value, succ.value))
+            behaviors[name.value] = events_mod.build_behavior(defined.values(), kept)
+        return list(defined.values()), behaviors
 
 
 def parse(doc: SourceDocument | str) -> ParseResult:
     """Parse one document; never raises on malformed input."""
     if isinstance(doc, str):
         doc = SourceDocument(doc)
-    toks, diags = _tokenize(doc.text)
-    parser = _Parser(toks, diags)
+    parser = _Parser(*_tokenize(doc.text))
     parser.parse_document()
     events, behaviors = parser.resolve()
     if any(d.severity == "error" for d in parser.diags):
@@ -655,21 +503,47 @@ def parse(doc: SourceDocument | str) -> ParseResult:
 
 
 # ---------------------------------------------------------------------------
+# shared by both renderings
+
+
+def _nesting(model: StaticModel):
+    """Walk the nesting forest depth-first, children in declaration order.
+
+    Yields ``(tid, depth, True)`` where a thimac's block opens and
+    ``(tid, depth, False)`` where it closes.  Depth comes from the children
+    lists, and the walk keeps its own stack, so nesting depth is unbounded.
+    """
+    depth: dict[str, int] = {}
+    open_blocks: list[str] = []
+    for tid in model.iter_thimacs_depth_first():
+        level = depth.get(tid, 0)
+        while len(open_blocks) > level:
+            yield open_blocks.pop(), len(open_blocks), False
+        yield tid, level, True
+        open_blocks.append(tid)
+        for child in model.thimacs[tid].children:
+            depth[child] = level + 1
+    while open_blocks:
+        yield open_blocks.pop(), len(open_blocks), False
+
+
+def _stages_in_kind_order(model: StaticModel, tid: str):
+    stages = model.thimacs[tid].stages
+    return [model.stages[stages[kind]] for kind in KIND_ORDER if kind in stages]
+
+
+def _escape(text: str) -> str:
+    """Backslash-escape a quoted label, in canonical text and DOT alike."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
+
+
+def _sorted_flows(model: StaticModel):
+    """Flows by anchor, unanchored last; ties keep declaration order."""
+    return sorted(model.flows.values(), key=lambda f: (f.anchor is None, f.anchor or 0))
+
+
+# ---------------------------------------------------------------------------
 # canonical serialization
-
-
-def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _flow_sort_key(model: StaticModel):
-    order = {fid: n for n, fid in enumerate(model.flows)}
-
-    def key(fid: str):
-        anchor = model.flows[fid].anchor
-        return (anchor is None, anchor if anchor is not None else 0, order[fid])
-
-    return key
 
 
 def serialize(model: StaticModel, events=(), behaviors=None) -> str:
@@ -679,71 +553,51 @@ def serialize(model: StaticModel, events=(), behaviors=None) -> str:
     the fixed kind order, flows sorted by anchor then declaration, region
     references sorted; the output is a fixed point of parse-serialize.
     """
-    sections: list[str] = []
-
-    def thimac_block(tid: str, depth: int) -> list[str]:
+    sections: list[list[str]] = []  # blocks of lines, blank lines between
+    for tid, depth, opening in _nesting(model):
         pad = "  " * depth
-        t = model.thimacs[tid]
-        lines = [f"{pad}thimac {t.name} {{"]
-        for kind in KIND_ORDER:
-            sid = t.stages.get(kind)
-            if sid is None:
-                continue
-            alias = model.stages[sid].alias
-            suffix = f" as {alias}" if alias else ""
-            lines.append(f"{pad}  {kind.value}{suffix};")
-        for child in t.children:
-            lines.extend(thimac_block(child, depth + 1))
-        lines.append(f"{pad}}}")
-        return lines
-
-    for root in model.roots:
-        sections.append("\n".join(thimac_block(root, 0)))
+        if not opening:
+            sections[-1].append(f"{pad}}}")
+            continue
+        if depth == 0:
+            sections.append([])
+        sections[-1].append(f"{pad}thimac {model.thimacs[tid].name} {{")
+        for stage in _stages_in_kind_order(model, tid):
+            suffix = f" as {stage.alias}" if stage.alias else ""
+            sections[-1].append(f"{pad}  {stage.kind.value}{suffix};")
 
     flow_lines = []
-    for fid in sorted(model.flows, key=_flow_sort_key(model)):
-        f = model.flows[fid]
+    for f in _sorted_flows(model):
         line = f"flow {model.stage_ref(f.src)} -> {model.stage_ref(f.dst)}"
         if f.carries is not None:
-            line += f" carries {_quote(f.carries)}"
+            line += f' carries "{_escape(f.carries)}"'
         if f.anchor is not None:
             line += f" anchor {f.anchor}"
         flow_lines.append(line + ";")
-    if flow_lines:
-        sections.append("\n".join(flow_lines))
+    sections.append(flow_lines)
 
-    trigger_lines = [
+    sections.append([
         f"trigger {model.stage_ref(g.src)} => {model.stage_ref(g.dst)};"
         for g in model.triggers.values()
-    ]
-    if trigger_lines:
-        sections.append("\n".join(trigger_lines))
+    ])
 
     event_lines = []
     for ev in events:
         refs = ", ".join(sorted(model.stage_ref(sid) for sid in ev.region))
         time = f" time {ev.time.start}..{ev.time.end}" if ev.time else ""
         event_lines.append(f"event {ev.name} {{ region [{refs}]{time} }}")
-    if event_lines:
-        sections.append("\n".join(event_lines))
+    sections.append(event_lines)
 
     for name, beh in (behaviors or {}).items():
-        lines = [f"behavior {name} {{"]
-        lines.extend(f"  {a} -> {b};" for a, b in beh.edges)
-        lines.append("}")
-        sections.append("\n".join(lines))
+        edges = [f"  {a} -> {b};" for a, b in beh.edges]
+        sections.append([f"behavior {name} {{", *edges, "}"])
 
-    if not sections:
-        return ""
-    return "\n\n".join(sections) + "\n"
+    text = "\n\n".join("\n".join(lines) for lines in sections if lines)
+    return text + "\n" if text else ""
 
 
 # ---------------------------------------------------------------------------
 # DOT export
-
-
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def emit_dot(model: StaticModel, highlight: Region | None = None) -> str:
@@ -759,38 +613,38 @@ def emit_dot(model: StaticModel, highlight: Region | None = None) -> str:
         "  compound=true;",
         "  node [shape=box, fontsize=10];",
     ]
-
-    def cluster(tid: str, depth: int) -> None:
+    for tid, depth, opening in _nesting(model):
         pad = "  " * (depth + 1)
-        t = model.thimacs[tid]
+        if not opening:
+            out.append(f"{pad}}}")
+            continue
         out.append(f"{pad}subgraph cluster_{tid} {{")
-        out.append(f'{pad}  label="{_dot_escape(t.name)}";')
-        for kind in KIND_ORDER:
-            sid = t.stages.get(kind)
-            if sid is None:
-                continue
-            label = model.stages[sid].alias or kind.value
-            attrs = [f'label="{_dot_escape(label)}"']
-            if sid in lit:
+        out.append(f'{pad}  label="{_escape(model.thimacs[tid].name)}";')
+        for stage in _stages_in_kind_order(model, tid):
+            attrs = [f'label="{_escape(stage.alias or stage.kind.value)}"']
+            if stage.id in lit:
                 attrs.append('style=filled, fillcolor="gold"')
-            out.append(f"{pad}  {sid} [{', '.join(attrs)}];")
-        for child in t.children:
-            cluster(child, depth + 1)
-        out.append(f"{pad}}}")
+            out.append(f"{pad}  {stage.id} [{', '.join(attrs)}];")
 
-    for root in model.roots:
-        cluster(root, 0)
-
-    for fid in sorted(model.flows, key=_flow_sort_key(model)):
-        f = model.flows[fid]
+    for f in _sorted_flows(model):
         parts = []
         if f.anchor is not None:
             parts.append(f"({f.anchor})")
         if f.carries is not None:
             parts.append(f.carries)
-        label = f' [label="{_dot_escape(" ".join(parts))}"]' if parts else ""
+        label = f' [label="{_escape(" ".join(parts))}"]' if parts else ""
         out.append(f"  {f.src} -> {f.dst}{label};")
     for g in model.triggers.values():
         out.append(f"  {g.src} -> {g.dst} [style=dashed];")
+    out.append("}")
+    return "\n".join(out) + "\n"
+
+
+def emit_behavior_dot(name: str, behavior: BehaviorModel) -> str:
+    """Graphviz rendering of a chronology: one ellipse per event, one
+    arrow per precedence edge."""
+    out = [f"digraph {name} {{", "  node [shape=ellipse, fontsize=10];"]
+    out.extend(f'  "{eid}";' for eid in behavior.events)
+    out.extend(f'  "{a}" -> "{b}";' for a, b in behavior.edges)
     out.append("}")
     return "\n".join(out) + "\n"

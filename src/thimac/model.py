@@ -193,11 +193,9 @@ class Trigger:
 
 @dataclass(frozen=True)
 class Region:
-    """A stage set together with its induced flows and triggers."""
+    """A stage set and whether its induced flows and triggers connect it."""
 
     stages: frozenset[str]
-    flows: tuple[str, ...]
-    triggers: tuple[str, ...]
     connected: bool
 
 
@@ -384,25 +382,11 @@ class StaticModel:
         for sid in stage_set:
             if sid not in self.stages:
                 raise UnknownStage(f"unknown stage {sid!r}")
-        flows = tuple(
-            f.id
-            for f in self.flows.values()
-            if f.src in stage_set and f.dst in stage_set
-        )
-        triggers = tuple(
-            g.id
-            for g in self.triggers.values()
-            if g.src in stage_set and g.dst in stage_set
-        )
         adj: dict[str, set[str]] = {sid: set() for sid in stage_set}
-        for fid in flows:
-            f = self.flows[fid]
-            adj[f.src].add(f.dst)
-            adj[f.dst].add(f.src)
-        for gid in triggers:
-            g = self.triggers[gid]
-            adj[g.src].add(g.dst)
-            adj[g.dst].add(g.src)
+        for arrow in (*self.flows.values(), *self.triggers.values()):
+            if arrow.src in adj and arrow.dst in adj:
+                adj[arrow.src].add(arrow.dst)
+                adj[arrow.dst].add(arrow.src)
         start = next(iter(stage_set))
         seen = {start}
         frontier = [start]
@@ -412,12 +396,7 @@ class StaticModel:
                 if nxt not in seen:
                     seen.add(nxt)
                     frontier.append(nxt)
-        return Region(
-            stages=stage_set,
-            flows=flows,
-            triggers=triggers,
-            connected=len(seen) == len(stage_set),
-        )
+        return Region(stages=stage_set, connected=len(seen) == len(stage_set))
 
 
 def new_model() -> StaticModel:

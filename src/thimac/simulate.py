@@ -22,7 +22,6 @@ With a fixed model and scenario the trace is bit-for-bit reproducible.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from .model import ActionKind, StaticModel
@@ -108,7 +107,7 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
         if word == "inject":
             if len(toks) != 4:
                 raise ScenarioError("expected: inject <tick> <path> <label>", lineno)
-            if not toks[1].isdigit():
+            if not toks[1].isdecimal():
                 raise ScenarioError(f"bad tick {toks[1]!r}", lineno)
             tid = model.resolve_thimac_path(toks[2])
             if tid is None:
@@ -126,10 +125,10 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
             sid = model.resolve_stage_ref(toks[1])
             if sid is None:
                 raise ScenarioError(f"unknown stage {toks[1]!r}", lineno)
-            if not toks[2].isdigit():
+            if not toks[2].isdecimal():
                 raise ScenarioError(f"bad occurrence {toks[2]!r}", lineno)
             spec = toks[3]
-            if spec.isdigit():
+            if spec.isdecimal():
                 anchor = int(spec)
                 fid = next(
                     (f.id for f in model.flows.values() if f.anchor == anchor), None
@@ -147,7 +146,7 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
                 )
             choices[key] = fid
         elif word == "max":
-            if len(toks) != 2 or not toks[1].isdigit() or int(toks[1]) < 1:
+            if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) < 1:
                 raise ScenarioError("expected: max <ticks>", lineno)
             max_ticks = int(toks[1])
         else:
@@ -266,23 +265,17 @@ def _has_pending(state: SimState) -> bool:
     return any(not th.resting for th in state.things)
 
 
-_ID_NUM = re.compile(r"^([a-z]+)(\d+)$")
-
-
-def _stage_sort_key(sid: str):
-    m = _ID_NUM.match(sid)
-    return (m.group(1), int(m.group(2))) if m else (sid, 0)
-
-
 def run(model: StaticModel, scenario: Scenario) -> Trace:
     """Run to quiescence (or the tick cap) and return the sorted trace."""
     state = new_state(model, scenario)
     while state.time < scenario.max_ticks and _has_pending(state):
         step(state)
+    # add_stage numbers ids in declaration order: this is numeric id order
+    declared = {sid: n for n, sid in enumerate(model.stages)}
     entries = tuple(
         sorted(
             state.entries,
-            key=lambda e: (e.time.start, _stage_sort_key(e.stage), e.thing),
+            key=lambda e: (e.time.start, declared[e.stage], e.thing),
         )
     )
     final = entries[-1].time.start if entries else 0

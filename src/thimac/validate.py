@@ -148,8 +148,9 @@ def validate(model: StaticModel) -> list[Diagnostic]:
         for flow in model.flows.values():
             if sid not in (flow.src, flow.dst):
                 continue
-            other = model.stages[flow.dst if flow.src == sid else flow.src]
-            if other.owner != stage.owner:
+            # a dangling end is V2's finding, not a machine this one faces
+            other = model.stages.get(flow.dst if flow.src == sid else flow.src)
+            if other is not None and other.owner != stage.owner:
                 faces_outside = True
                 break
         if not faces_outside:
@@ -210,11 +211,6 @@ class VerbLexicon:
             return self._entries[verb]
         except KeyError:
             raise UnknownVerb(f"verb {verb!r} is not in the lexicon") from None
-
-
-def normalize_verb(lexicon: VerbLexicon, verb: str) -> Decomposition:
-    """Rewrite a domain verb into its generic-action decomposition."""
-    return lexicon.decomposition(verb)
 
 
 #: Entries whose decompositions are best-effort readings rather than

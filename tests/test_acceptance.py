@@ -19,7 +19,7 @@ from thimac.events import (
 )
 from thimac.model import ActionKind, legal_successor
 from thimac.simulate import conforms, load_scenario, project, render_trace, run
-from thimac.validate import default_lexicon, normalize_verb, validate
+from thimac.validate import default_lexicon, validate
 
 C = ActionKind.CREATE
 P = ActionKind.PROCESS
@@ -178,7 +178,7 @@ def test_criterion_6_genericity_enforcement():
     lexicon = default_lexicon()
     for verb in TEN_VERBS:
         try:
-            steps = normalize_verb(lexicon, verb)
+            steps = lexicon.decomposition(verb)
         except Exception as exc:  # noqa: BLE001 - report, don't crash the gate
             problems.append(f"{verb}: lexicon failed ({exc})")
             continue

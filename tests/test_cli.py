@@ -235,6 +235,14 @@ def test_simulate_bad_scenario_exits_two(cli, tmp_path):
     assert "line 1: unknown directive" in r.stderr
 
 
+def test_simulate_non_decimal_tick_exits_two(cli, tmp_path):
+    s = tmp_path / "bad.scn"
+    s.write_text("inject ² librarian.request x\n", encoding="utf-8")
+    r = cli("simulate", LIB, str(s))
+    assert r.returncode == 2
+    assert "line 1: bad tick" in r.stderr
+
+
 def test_simulate_stuck_run_exits_one(cli, tmp_path):
     s = tmp_path / "stuck.scn"
     s.write_text(

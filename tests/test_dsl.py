@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from thimac import SourceDocument, parse, serialize
-from thimac.dsl import RESERVED_WORDS
+from thimac import SourceDocument, emit_dot, parse, serialize
+from thimac.dsl import RESERVED_WORDS, _tokenize
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -227,3 +227,88 @@ def test_weird_bytes_do_not_crash():
         assert result.model is None
         for d in result.diagnostics:
             assert d.line >= 1 and d.column >= 1
+
+
+@pytest.mark.parametrize(
+    "text, tokens, diagnostics",
+    [
+        (  # escapes: \" and \\ fold, a lone backslash stays
+            '"a\\"b" "c\\\\d" "e\\f"',
+            [("string", 'a"b', 1, 1), ("string", "c\\d", 1, 8),
+             ("string", "e\\f", 1, 15), ("eof", "", 1, 20)],
+            [],
+        ),
+        (  # unterminated at a newline: the next line lexes as usual
+            'x "ab\ny',
+            [("ident", "x", 1, 1), ("string", "ab", 1, 3), ("ident", "y", 2, 1),
+             ("eof", "", 2, 2)],
+            [("unterminated string", 1, 3)],
+        ),
+        (  # unterminated at EOF, after a lone backslash
+            '"ab\\',
+            [("string", "ab\\", 1, 1), ("eof", "", 1, 5)],
+            [("unterminated string", 1, 1)],
+        ),
+        (  # \r is whitespace that takes a column; only \n starts a line
+            "a\r\nb\rc",
+            [("ident", "a", 1, 1), ("ident", "b", 2, 1), ("ident", "c", 2, 3),
+             ("eof", "", 2, 4)],
+            [],
+        ),
+        (  # a tab is one column
+            "\tx\t\ty",
+            [("ident", "x", 1, 2), ("ident", "y", 1, 5), ("eof", "", 1, 6)],
+            [],
+        ),
+        (  # names are ASCII
+            "xé",
+            [("ident", "x", 1, 1), ("eof", "", 1, 3)],
+            [("unexpected character 'é'", 1, 2)],
+        ),
+        (  # a digit that is not decimal ends a number
+            "1²",
+            [("int", "1", 1, 1), ("eof", "", 1, 3)],
+            [("unexpected character '²'", 1, 2)],
+        ),
+        (  # any Unicode decimal digit makes a number
+            "٣ ->",
+            [("int", "٣", 1, 1), ("->", "->", 1, 3), ("eof", "", 1, 5)],
+            [],
+        ),
+        (  # the EOF column counts trailing whitespace and comments
+            "ab\ncd # note",
+            [("ident", "ab", 1, 1), ("ident", "cd", 2, 1), ("eof", "", 2, 10)],
+            [],
+        ),
+    ],
+)
+def test_tokens_and_diagnostics_are_pinned(text, tokens, diagnostics):
+    toks, diags = _tokenize(text)
+    assert [tuple(t) for t in toks] == tokens
+    assert [(d.message, d.line, d.column) for d in diags] == diagnostics
+
+
+@pytest.mark.parametrize(
+    "decl",
+    ["flow a.create -> a.release anchor ²;", "event e { region [a.create] time 1..² }"],
+)
+def test_non_decimal_digit_is_a_diagnostic(decl):
+    result = parse(f"thimac a {{ create; release; }}\n{decl}\n")
+    assert not result.ok
+    assert "unexpected character '²'" in [d.message for d in result.diagnostics]
+
+
+def test_unicode_decimal_digit_reads_as_its_value():
+    result = parse("thimac a { create; release; }\nflow a.create -> a.release anchor ٣;")
+    assert [f.anchor for f in result.model.flows.values()] == [3]
+
+
+def test_deep_nesting_round_trips_and_exports():
+    depth = 1500
+    opens = [f"{'  ' * d}thimac n{d} {{" for d in range(depth)]
+    closes = [f"{'  ' * d}}}" for d in reversed(range(depth))]
+    text = "\n".join([*opens, f"{'  ' * depth}create;", *closes]) + "\n"
+    result = parse(text)
+    assert result.ok, [d.render() for d in result.diagnostics[:3]]
+    assert serialize(result.model) == text
+    assert emit_dot(result.model).count("subgraph cluster_") == depth

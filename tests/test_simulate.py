@@ -52,6 +52,10 @@ def test_empty_scenario_defaults(library):
         ("max 0", 1, "expected: max"),
         ("max many", 1, "expected: max"),
         ("# fine\nmax 10\nwarp 3", 3, "unknown directive"),
+        ("max ²", 1, "expected: max"),
+        ("inject ² librarian.request x", 1, "bad tick"),
+        ("choose system.booklist.transfer ² 1", 1, "bad occurrence"),
+        ("choose system.booklist.transfer 0 ²", 1, "unknown flow"),
     ],
 )
 def test_scenario_errors_carry_line_numbers(library, text, lineno, needle):

@@ -11,7 +11,6 @@ from thimac.validate import (
     UnknownVerb,
     VerbLexicon,
     default_lexicon,
-    normalize_verb,
 )
 
 
@@ -71,6 +70,16 @@ def test_v2_illegal_succession_found_in_raw_model():
     )
     diags = validate(m)
     assert "V2" in codes(diags)
+
+
+def test_v2_dangling_flow_end_is_reported_not_raised():
+    from thimac.model import Flow
+
+    m = hop_model()
+    lone = m.add_stage(m.add_thimac("c"), ActionKind.TRANSFER)
+    m.flows["f99"] = Flow(id="f99", src="s999", dst=lone)
+    diags = validate(m)
+    assert [(d.code, d.subject) for d in diags] == [("V2", "f99"), ("V6", "c.transfer")]
 
 
 def test_v3_unpaired_boundary_crossing_found_in_raw_model():
@@ -236,9 +245,9 @@ def test_put_is_agent_driven():
 def test_unknown_verb_raises():
     lex = default_lexicon()
     with pytest.raises(UnknownVerb):
-        normalize_verb(lex, "launch")
+        lex.decomposition("launch")
     with pytest.raises(UnknownVerb):
-        normalize_verb(lex, "low")
+        lex.decomposition("low")
 
 
 def test_unverified_verbs_are_flagged_subset():
