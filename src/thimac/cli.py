@@ -9,8 +9,8 @@ Subcommands::
     thimac export MODEL [--highlight EVENT] [--canonical]
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 semantic errors (or a stuck run), 2 syntax errors, 3 nonconforming
-trace, 4 usage.
+1 semantic errors (or a stuck run, or one stopped by its tick cap),
+2 syntax errors, 3 nonconforming trace, 4 usage.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import events as events_mod
 from . import __version__
 from .dsl import ParseResult, SourceDocument, emit_behavior_dot, emit_dot
 from .dsl import parse, serialize
-from .model import StaticModel
+from .model import ModelIndex
 from .simulate import (
     ScenarioError,
     SimulationError,
@@ -61,15 +61,15 @@ def _parse_file(path: str) -> ParseResult:
     return result
 
 
-def _origin_line(model: StaticModel, subject: str) -> int:
+def _origin_line(index: ModelIndex, subject: str) -> int:
     """Best-effort source line for a diagnostic subject."""
     for key in (
         subject,
-        model.resolve_stage_ref(subject),
-        model.resolve_thimac_path(subject),
+        index.resolve_stage_ref(subject),
+        index.thimac_at.get(subject),
     ):
-        if key is not None and key in model.origin:
-            return model.origin[key][0]
+        if key is not None and key in index.model.origin:
+            return index.model.origin[key][0]
     return 0
 
 
@@ -79,8 +79,9 @@ def cmd_validate(args) -> int:
     diags = validate(model)
     for behavior in result.behaviors.values():
         diags.extend(events_mod.check_behavior(model, behavior))
+    index = ModelIndex(model)
     for d in diags:
-        print(d.render(args.model, _origin_line(model, d.subject)), file=sys.stderr)
+        print(d.render(args.model, _origin_line(index, d.subject)), file=sys.stderr)
     errors = sum(1 for d in diags if d.severity == "error")
     warnings = len(diags) - errors
     if args.json:
@@ -192,6 +193,9 @@ def cmd_simulate(args) -> int:
     else:
         for ev in projection.events:
             print(ev.name)
+    if trace.truncated:
+        print(f"thimac: run hit the tick cap {scenario.max_ticks}", file=sys.stderr)
+        return 1
     name, behavior = _pick_behavior(result, args.behavior)
     if behavior is None:
         return 0

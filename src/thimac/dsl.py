@@ -39,7 +39,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import events as events_mod
-from .model import ActionKind, KIND_ORDER, ModelError, Region, StaticModel, new_model
+from .model import ActionKind, KIND_ORDER, ModelError, ModelIndex, Region, StaticModel
+from .model import anchor_order, new_model
 from .events import BehaviorModel, EventDef, TimeSubthimac
 
 STAGE_KEYWORDS = {kind.value: kind for kind in ActionKind}
@@ -429,12 +430,13 @@ class _Parser:
 
     def resolve(self) -> tuple[list[EventDef], dict[str, BehaviorModel]]:
         model = self.model
+        names = ModelIndex(model)  # its name paths stay valid as arrows are added
         # Every flow before every trigger, each kind in declaration order.
         for kw, src_ref, dst_ref, carries, anchor in sorted(
             self.arrows, key=lambda arrow: arrow.keyword.value == "trigger"
         ):
-            src = model.resolve_stage_ref(src_ref)
-            dst = model.resolve_stage_ref(dst_ref)
+            src = names.resolve_stage_ref(src_ref)
+            dst = names.resolve_stage_ref(dst_ref)
             if src is None or dst is None:
                 missing = src_ref if src is None else dst_ref
                 self.error(f"unknown stage reference {missing!r}", kw)
@@ -454,7 +456,7 @@ class _Parser:
             if name.value in defined:
                 self.error(f"event {name.value!r} is already declared", name)
                 continue
-            sids = [model.resolve_stage_ref(ref) for ref in refs]
+            sids = [names.resolve_stage_ref(ref) for ref in refs]
             for ref, sid in zip(refs, sids):
                 if sid is None:
                     self.error(f"unknown stage reference {ref!r}", name)
@@ -537,13 +539,16 @@ def _escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _sorted_flows(model: StaticModel):
-    """Flows by anchor, unanchored last; ties keep declaration order."""
-    return sorted(model.flows.values(), key=lambda f: (f.anchor is None, f.anchor or 0))
-
-
 # ---------------------------------------------------------------------------
 # canonical serialization
+
+
+def _name(text: str, entity: str) -> str:
+    """``text`` if the parser reads it back as a name, else ValueError."""
+    token = _TOKEN_RE.fullmatch(text)
+    if token is None or token.lastgroup != "ident" or text in RESERVED_WORDS:
+        raise ValueError(f"{entity}: {text!r} cannot be written as a name")
+    return text
 
 
 def serialize(model: StaticModel, events=(), behaviors=None) -> str:
@@ -552,6 +557,7 @@ def serialize(model: StaticModel, events=(), behaviors=None) -> str:
     Canonical means: thimacs depth-first in declaration order, stages in
     the fixed kind order, flows sorted by anchor then declaration, region
     references sorted; the output is a fixed point of parse-serialize.
+    A name, alias or label the language cannot spell raises ValueError.
     """
     sections: list[list[str]] = []  # blocks of lines, blank lines between
     for tid, depth, opening in _nesting(model):
@@ -561,15 +567,19 @@ def serialize(model: StaticModel, events=(), behaviors=None) -> str:
             continue
         if depth == 0:
             sections.append([])
-        sections[-1].append(f"{pad}thimac {model.thimacs[tid].name} {{")
+        name = _name(model.thimacs[tid].name, f"thimac {tid}")
+        sections[-1].append(f"{pad}thimac {name} {{")
         for stage in _stages_in_kind_order(model, tid):
-            suffix = f" as {stage.alias}" if stage.alias else ""
+            alias = stage.alias and _name(stage.alias, f"alias of stage {stage.id}")
+            suffix = f" as {alias}" if alias else ""
             sections[-1].append(f"{pad}  {stage.kind.value}{suffix};")
 
     flow_lines = []
-    for f in _sorted_flows(model):
+    for f in sorted(model.flows.values(), key=anchor_order):
         line = f"flow {model.stage_ref(f.src)} -> {model.stage_ref(f.dst)}"
         if f.carries is not None:
+            if "\n" in f.carries:
+                raise ValueError(f"flow {f.id}: a carries label cannot hold a newline")
             line += f' carries "{_escape(f.carries)}"'
         if f.anchor is not None:
             line += f" anchor {f.anchor}"
@@ -585,12 +595,14 @@ def serialize(model: StaticModel, events=(), behaviors=None) -> str:
     for ev in events:
         refs = ", ".join(sorted(model.stage_ref(sid) for sid in ev.region))
         time = f" time {ev.time.start}..{ev.time.end}" if ev.time else ""
-        event_lines.append(f"event {ev.name} {{ region [{refs}]{time} }}")
+        name = _name(ev.name, f"event {ev.id}")
+        event_lines.append(f"event {name} {{ region [{refs}]{time} }}")
     sections.append(event_lines)
 
     for name, beh in (behaviors or {}).items():
-        edges = [f"  {a} -> {b};" for a, b in beh.edges]
-        sections.append([f"behavior {name} {{", *edges, "}"])
+        what = f"edge of behavior {name}"
+        edges = [f"  {_name(a, what)} -> {_name(b, what)};" for a, b in beh.edges]
+        sections.append([f"behavior {_name(name, 'behavior')} {{", *edges, "}"])
 
     text = "\n\n".join("\n".join(lines) for lines in sections if lines)
     return text + "\n" if text else ""
@@ -626,7 +638,7 @@ def emit_dot(model: StaticModel, highlight: Region | None = None) -> str:
                 attrs.append('style=filled, fillcolor="gold"')
             out.append(f"{pad}  {stage.id} [{', '.join(attrs)}];")
 
-    for f in _sorted_flows(model):
+    for f in sorted(model.flows.values(), key=anchor_order):
         parts = []
         if f.anchor is not None:
             parts.append(f"({f.anchor})")

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .model import (
     ActionKind,
+    ModelIndex,
     StaticModel,
     legal_successor,
 )
@@ -271,10 +272,11 @@ def check_behavior(model: StaticModel, behavior: BehaviorModel) -> list[Diagnost
     out: list[Diagnostic] = []
     regions = {eid: ev.region for eid, ev in behavior.events.items()}
 
-    arrows = [(f.src, f.dst) for f in model.flows.values()]
-    arrows += [(g.src, g.dst) for g in model.triggers.values()]
+    index = ModelIndex(model)
+    tables = (index.flows_from, index.triggers_from)
     for a, b in behavior.edges:
-        if not any(src in regions[a] and dst in regions[b] for src, dst in arrows):
+        ends = {x.dst for sid in regions[a] for table in tables for x in table.get(sid, ())}
+        if ends.isdisjoint(regions[b]):
             out.append(
                 Diagnostic(
                     "B1",

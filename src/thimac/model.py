@@ -322,39 +322,11 @@ class StaticModel:
 
     def resolve_thimac_path(self, path: str) -> str | None:
         """Resolve a dotted name path to a thimac id, or None."""
-        parts = path.split(".")
-        scope = self.roots
-        cur: str | None = None
-        for part in parts:
-            cur = None
-            for tid in scope:
-                if self.thimacs[tid].name == part:
-                    cur = tid
-                    break
-            if cur is None:
-                return None
-            scope = self.thimacs[cur].children
-        return cur
+        return ModelIndex(self).thimac_at.get(path)
 
     def resolve_stage_ref(self, ref: str) -> str | None:
         """Resolve ``path.kind`` (or ``path.alias``) to a stage id, or None."""
-        if "." not in ref:
-            return None
-        path, last = ref.rsplit(".", 1)
-        tid = self.resolve_thimac_path(path)
-        if tid is None:
-            return None
-        thimac = self.thimacs[tid]
-        try:
-            kind = ActionKind(last)
-        except ValueError:
-            kind = None
-        if kind is not None:
-            return thimac.stages.get(kind)
-        for sid in thimac.stages.values():
-            if self.stages[sid].alias == last:
-                return sid
-        return None
+        return ModelIndex(self).resolve_stage_ref(ref)
 
     def iter_thimacs_depth_first(self):
         """Yield thimac ids, roots first, children in declaration order."""
@@ -363,9 +335,6 @@ class StaticModel:
             tid = stack.pop()
             yield tid
             stack.extend(reversed(self.thimacs[tid].children))
-
-    def outgoing_flows(self, stage_id: str) -> list[Flow]:
-        return [f for f in self.flows.values() if f.src == stage_id]
 
     # -- regions -------------------------------------------------------
 
@@ -397,6 +366,79 @@ class StaticModel:
                     seen.add(nxt)
                     frontier.append(nxt)
         return Region(stages=stage_set, connected=len(seen) == len(stage_set))
+
+
+def anchor_order(flow: Flow) -> tuple[bool, int]:
+    """Sort key: lowest anchor first, unanchored last; ties keep input order."""
+    return (flow.anchor is None, flow.anchor or 0)
+
+
+class ModelIndex:
+    """Read-only lookup tables over one model and its declared events: a
+    snapshot, so build one per operation, once the model is complete."""
+
+    def __init__(self, model: StaticModel, events=()) -> None:
+        self.model = model
+        #: stage id -> flows leaving it / triggers sourced at it, declared order
+        self.flows_from: dict[str, list[Flow]] = {}
+        self.triggers_from: dict[str, list[Trigger]] = {}
+        #: stage id -> every flow and trigger with an end there
+        self.touching: dict[str, list[Flow | Trigger]] = {}
+        for arrow in (*model.flows.values(), *model.triggers.values()):
+            leaving = self.flows_from if isinstance(arrow, Flow) else self.triggers_from
+            leaving.setdefault(arrow.src, []).append(arrow)
+            for end in (arrow.src, arrow.dst):
+                self.touching.setdefault(end, []).append(arrow)
+        #: anchor -> the first flow declared with it
+        self.by_anchor: dict[int, Flow] = {
+            f.anchor: f for f in reversed(model.flows.values()) if f.anchor is not None
+        }
+        #: stage id -> its default departure; stages with no way out are absent
+        self.departure: dict[str, Flow] = {
+            sid: min(outs, key=anchor_order) for sid, outs in self.flows_from.items()
+        }
+        #: dotted name path -> thimac id; the first of equal siblings wins
+        self.thimac_at: dict[str, str] = {}
+        scopes = [("", model.roots)]
+        while scopes:
+            prefix, scope = scopes.pop()
+            for tid in scope:
+                name = model.thimacs[tid].name
+                path = prefix + name
+                if "." not in name and path not in self.thimac_at:
+                    self.thimac_at[path] = tid
+                    scopes.append((path + ".", model.thimacs[tid].children))
+        #: stage id -> the declared events whose region holds it, in order
+        self.events_at: dict[str, list] = {}
+        for ev in events:
+            for sid in ev.region:
+                self.events_at.setdefault(sid, []).append(ev)
+        self._refs: dict[str, str] = {}
+
+    def stage_ref(self, stage_id: str) -> str:
+        """``StaticModel.stage_ref``, computed once per stage."""
+        ref = self._refs.get(stage_id)
+        if ref is None:
+            ref = self._refs[stage_id] = self.model.stage_ref(stage_id)
+        return ref
+
+    def resolve_stage_ref(self, ref: str) -> str | None:
+        """Resolve ``path.kind`` (or ``path.alias``) to a stage id, or None."""
+        if "." not in ref:
+            return None
+        path, last = ref.rsplit(".", 1)
+        tid = self.thimac_at.get(path)
+        if tid is None:
+            return None
+        stages = self.model.thimacs[tid].stages
+        try:
+            return stages.get(ActionKind(last))
+        except ValueError:
+            pass
+        for sid in stages.values():
+            if self.model.stages[sid].alias == last:
+                return sid
+        return None
 
 
 def new_model() -> StaticModel:

@@ -15,16 +15,21 @@ The chronology rules, all of them:
   land one tick later: a create target births a new thing, any other
   target wakes the things resting there — or lapses if nobody is.
 * A stage with no outgoing flow is terminal; arrivals rest for good.
-* The run ends when nothing can move any more (or at the tick cap).
+* The run ends when nothing can move any more, or at the tick cap; a
+  run the cap stopped with work pending is truncated, and
+  ``thimac simulate`` exits 1 for it.
 
-With a fixed model and scenario the trace is bit-for-bit reproducible.
+The engine keeps the things in motion and, per stage, the things resting
+there.  Idle ticks are skipped: with nothing in motion the clock jumps to
+the next birth or awakening.  The trace is bit-for-bit reproducible.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 
-from .model import ActionKind, StaticModel
+from .model import ActionKind, ModelIndex, StaticModel
 from .events import TimeSubthimac
 
 
@@ -79,9 +84,13 @@ class GenericEventInstance:
 
 @dataclass(frozen=True)
 class Trace:
+    """Sorted entries and each thing's end state; ``truncated`` marks a run
+    the tick cap stopped with a thing in motion or a birth or awakening due."""
+
     entries: tuple[GenericEventInstance, ...]
     things: dict[str, ThingInstance]
     final_tick: int
+    truncated: bool = False
 
 
 def load_scenario(model: StaticModel, text: str) -> Scenario:
@@ -95,7 +104,9 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
         choose <stage-ref> <occurrence> <flow-anchor-or-id>
         max <ticks>
     """
+    index = ModelIndex(model)
     injections: list[tuple[int, str, str]] = []
+    labels: set[str] = set()
     choices: dict[tuple[str, int], str] = {}
     max_ticks = 1000
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -109,20 +120,23 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
                 raise ScenarioError("expected: inject <tick> <path> <label>", lineno)
             if not toks[1].isdecimal():
                 raise ScenarioError(f"bad tick {toks[1]!r}", lineno)
-            tid = model.resolve_thimac_path(toks[2])
+            tid = index.thimac_at.get(toks[2])
             if tid is None:
                 raise ScenarioError(f"unknown thimac {toks[2]!r}", lineno)
             if ActionKind.CREATE not in model.thimacs[tid].stages:
                 raise ScenarioError(
                     f"thimac {toks[2]!r} has no create stage to inject at", lineno
                 )
+            if toks[3] in labels:
+                raise ScenarioError(f"duplicate inject label {toks[3]!r}", lineno)
+            labels.add(toks[3])
             injections.append((int(toks[1]), tid, toks[3]))
         elif word == "choose":
             if len(toks) != 4:
                 raise ScenarioError(
                     "expected: choose <stage-ref> <occurrence> <flow>", lineno
                 )
-            sid = model.resolve_stage_ref(toks[1])
+            sid = index.resolve_stage_ref(toks[1])
             if sid is None:
                 raise ScenarioError(f"unknown stage {toks[1]!r}", lineno)
             if not toks[2].isdecimal():
@@ -130,11 +144,9 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
             spec = toks[3]
             if spec.isdecimal():
                 anchor = int(spec)
-                fid = next(
-                    (f.id for f in model.flows.values() if f.anchor == anchor), None
-                )
-                if fid is None:
+                if anchor not in index.by_anchor:
                     raise ScenarioError(f"no flow has anchor {anchor}", lineno)
+                fid = index.by_anchor[anchor].id
             elif spec in model.flows:
                 fid = spec
             else:
@@ -156,20 +168,97 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
 
 @dataclass
 class SimState:
-    model: StaticModel
+    """A run in progress.  ``moving`` and ``resting`` hold (creation number,
+    thing) pairs in creation order, the order things move in, which fixes
+    departure counts and birth labels."""
+
+    index: ModelIndex
     scenario: Scenario
     time: int = 0
     things: list[ThingInstance] = field(default_factory=list)
     entries: list[GenericEventInstance] = field(default_factory=list)
     births: dict[int, list[tuple[str, str]]] = field(default_factory=dict)
     awakenings: dict[int, list[str]] = field(default_factory=dict)
+    moving: list[tuple[int, ThingInstance]] = field(default_factory=list)
+    resting: dict[str, list[tuple[int, ThingInstance]]] = field(default_factory=dict)
     departures: dict[str, int] = field(default_factory=dict)
     birth_counts: dict[str, int] = field(default_factory=dict)
     gates: frozenset[str] = frozenset()
 
 
-def new_state(model: StaticModel, scenario: Scenario) -> SimState:
-    state = SimState(model=model, scenario=scenario)
+def _enter(state: SimState, moved: tuple[int, ThingInstance], sid: str, t: int) -> None:
+    """Put a thing at a stage for tick t and apply the stage's effects."""
+    index, thing = state.index, moved[1]
+    thing.stage, thing.entered_at = sid, t
+    stage = index.model.stages[sid]
+    state.entries.append(
+        GenericEventInstance(thing.label, sid, stage.kind, TimeSubthimac(t, t + 1))
+    )
+    if stage.kind is ActionKind.PROCESS:
+        for trig in index.triggers_from.get(sid, ()):
+            target = index.model.stages[trig.dst]
+            if target.kind is ActionKind.CREATE:
+                owner = index.model.thimacs[target.owner]
+                n = state.birth_counts.get(trig.dst, 0) + 1
+                state.birth_counts[trig.dst] = n
+                state.births.setdefault(t + 1, []).append(
+                    (trig.dst, f"{owner.name}-{n}")
+                )
+            else:
+                state.awakenings.setdefault(t + 1, []).append(trig.dst)
+    if sid in state.gates or sid not in index.departure:
+        thing.resting = True
+        bisect.insort(state.resting.setdefault(sid, []), moved)
+    else:
+        state.moving.append(moved)
+
+
+def _move(state: SimState, moved: tuple[int, ThingInstance], t: int) -> None:
+    """Take one flow out of the thing's stage: the chosen or the default."""
+    sid = moved[1].stage
+    occ = state.departures.get(sid, 0)
+    state.departures[sid] = occ + 1
+    chosen = state.scenario.choices.get((sid, occ))
+    if chosen is None:
+        flow = state.index.departure[sid]
+    else:
+        flow = state.index.model.flows[chosen]
+        if flow.src != sid:
+            ref = state.index.stage_ref(sid)
+            raise StuckThing(
+                t,
+                ref,
+                f"tick {t}: choice for {ref} occurrence {occ} names flow "
+                f"{chosen}, which does not leave that stage",
+            )
+    _enter(state, moved, flow.dst, t)
+
+
+def step(state: SimState) -> None:
+    """Advance one tick: births, awakenings, then ordinary moves."""
+    t = state.time
+    movers, state.moving = state.moving, []
+    for sid, label in state.births.pop(t, ()):
+        thing = ThingInstance(label, None, born_at=t, entered_at=t)
+        state.things.append(thing)
+        _enter(state, (len(state.things), thing), sid, t)
+    for sid in state.awakenings.pop(t, ()):
+        if sid not in state.index.departure:
+            continue  # the awakening lapses: nowhere to go
+        here = state.resting.get(sid, [])
+        state.resting[sid] = [p for p in here if p[1].entered_at >= t]
+        for sleeper in [p for p in here if p[1].entered_at < t]:
+            sleeper[1].resting = False
+            _move(state, sleeper, t)
+    for mover in movers:
+        _move(state, mover, t)
+    state.moving.sort()
+    state.time = t + 1
+
+
+def run(model: StaticModel, scenario: Scenario) -> Trace:
+    """Run to quiescence (or the tick cap) and return the sorted trace."""
+    state = SimState(index=ModelIndex(model), scenario=scenario)
     state.gates = frozenset(
         g.dst
         for g in model.triggers.values()
@@ -178,97 +267,11 @@ def new_state(model: StaticModel, scenario: Scenario) -> SimState:
     for tick, tid, label in scenario.injections:
         create_sid = model.thimacs[tid].stages[ActionKind.CREATE]
         state.births.setdefault(tick, []).append((create_sid, label))
-    return state
-
-
-def _enter(state: SimState, thing: ThingInstance, sid: str, t: int) -> None:
-    """Put a thing at a stage for tick t and apply the stage's effects."""
-    model = state.model
-    thing.stage = sid
-    thing.entered_at = t
-    stage = model.stages[sid]
-    state.entries.append(
-        GenericEventInstance(thing.label, sid, stage.kind, TimeSubthimac(t, t + 1))
-    )
-    if stage.kind is ActionKind.PROCESS:
-        for trig in model.triggers.values():
-            if trig.src != sid:
-                continue
-            target = model.stages[trig.dst]
-            if target.kind is ActionKind.CREATE:
-                owner = model.thimacs[target.owner]
-                n = state.birth_counts.get(trig.dst, 0) + 1
-                state.birth_counts[trig.dst] = n
-                state.births.setdefault(t + 1, []).append(
-                    (trig.dst, f"{owner.name}-{n}")
-                )
-            else:
-                state.awakenings.setdefault(t + 1, []).append(trig.dst)
-    if sid in state.gates or not model.outgoing_flows(sid):
-        thing.resting = True
-
-
-def _choose_flow(state: SimState, sid: str, t: int):
-    outs = state.model.outgoing_flows(sid)
-    occ = state.departures.get(sid, 0)
-    state.departures[sid] = occ + 1
-    chosen = state.scenario.choices.get((sid, occ))
-    if chosen is not None:
-        flow = state.model.flows[chosen]
-        if flow.src != sid:
-            ref = state.model.stage_ref(sid)
-            raise StuckThing(
-                t,
-                ref,
-                f"tick {t}: choice for {ref} occurrence {occ} names flow "
-                f"{chosen}, which does not leave that stage",
-            )
-        return flow
-    if len(outs) == 1:
-        return outs[0]
-    anchored = [f for f in outs if f.anchor is not None]
-    if anchored:
-        return min(anchored, key=lambda f: f.anchor)
-    return outs[0]
-
-
-def step(state: SimState) -> None:
-    """Advance one tick: births, awakenings, then ordinary moves."""
-    t = state.time
-    for sid, label in state.births.pop(t, []):
-        thing = ThingInstance(label, None, born_at=t, entered_at=t)
-        state.things.append(thing)
-        _enter(state, thing, sid, t)
-    for sid in state.awakenings.pop(t, []):
-        sleepers = [
-            th
-            for th in state.things
-            if th.stage == sid and th.resting and th.entered_at < t
-        ]
-        if not state.model.outgoing_flows(sid):
-            continue  # the awakening lapses: nowhere to go
-        for th in sleepers:
-            th.resting = False
-            flow = _choose_flow(state, sid, t)
-            _enter(state, th, flow.dst, t)
-    for th in list(state.things):
-        if th.resting or th.stage is None or th.entered_at >= t:
-            continue
-        flow = _choose_flow(state, th.stage, t)
-        _enter(state, th, flow.dst, t)
-    state.time = t + 1
-
-
-def _has_pending(state: SimState) -> bool:
-    if state.births or state.awakenings:
-        return True
-    return any(not th.resting for th in state.things)
-
-
-def run(model: StaticModel, scenario: Scenario) -> Trace:
-    """Run to quiescence (or the tick cap) and return the sorted trace."""
-    state = new_state(model, scenario)
-    while state.time < scenario.max_ticks and _has_pending(state):
+    while state.moving or state.births or state.awakenings:
+        if not state.moving:  # skip the idle ticks up to the next event
+            state.time = min([*state.births, *state.awakenings])
+        if state.time >= scenario.max_ticks:
+            break
         step(state)
     # add_stage numbers ids in declaration order: this is numeric id order
     declared = {sid: n for n, sid in enumerate(model.stages)}
@@ -283,13 +286,15 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
         entries=entries,
         things={th.label: th for th in state.things},
         final_tick=final,
+        truncated=bool(state.moving or state.births or state.awakenings),
     )
 
 
 def render_trace(model: StaticModel, trace: Trace) -> str:
     """One line per entry: ``<tick> <thing> <stage-ref> <kind>``."""
+    index = ModelIndex(model)
     return "\n".join(
-        f"{e.time.start} {e.thing} {model.stage_ref(e.stage)} {e.kind.value}"
+        f"{e.time.start} {e.thing} {index.stage_ref(e.stage)} {e.kind.value}"
         for e in trace.entries
     )
 
@@ -317,7 +322,7 @@ def project(model: StaticModel, trace: Trace, events) -> ProjectionResult:
     surviving candidate and start a new run.  Entries no region covers
     at all are reported as uncovered stage references.
     """
-    events = list(events)
+    index = ModelIndex(model, events)
     projected = []
     uncovered: list[str] = []
     candidates: list = []
@@ -330,11 +335,11 @@ def project(model: StaticModel, trace: Trace, events) -> ProjectionResult:
                 continue
             projected.append(candidates[0])
             candidates = []
-        starters = [ev for ev in events if sid in ev.region]
+        starters = index.events_at.get(sid)
         if starters:
             candidates = starters
         else:
-            ref = model.stage_ref(sid)
+            ref = index.stage_ref(sid)
             if ref not in uncovered:
                 uncovered.append(ref)
     if candidates:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .model import ActionKind, StaticModel, legal_successor
+from .model import ActionKind, Flow, ModelIndex, StaticModel, legal_successor
 
 Severity = Literal["error", "warning"]
 
@@ -49,6 +49,7 @@ class Diagnostic:
 
 def validate(model: StaticModel) -> list[Diagnostic]:
     """Run every V-check; deterministic order, idempotent, read-only."""
+    index = ModelIndex(model)
     out: list[Diagnostic] = []
 
     # V1: the constructive API cannot produce this, but raw models can.
@@ -109,7 +110,7 @@ def validate(model: StaticModel) -> list[Diagnostic]:
                     "V3",
                     "error",
                     flow.id,
-                    f"{model.stage_ref(flow.src)} -> {model.stage_ref(flow.dst)} "
+                    f"{index.stage_ref(flow.src)} -> {index.stage_ref(flow.dst)} "
                     "crosses machines without a transfer pair",
                 )
             )
@@ -123,20 +124,13 @@ def validate(model: StaticModel) -> list[Diagnostic]:
                 )
             )
 
-    touched: set[str] = set()
-    for flow in model.flows.values():
-        touched.add(flow.src)
-        touched.add(flow.dst)
-    for trig in model.triggers.values():
-        touched.add(trig.src)
-        touched.add(trig.dst)
     for sid in model.stages:
-        if sid not in touched:
+        if sid not in index.touching:
             out.append(
                 Diagnostic(
                     "V5",
                     "warning",
-                    model.stage_ref(sid),
+                    index.stage_ref(sid),
                     "stage has no incident flow or trigger (dead potentiality)",
                 )
             )
@@ -145,11 +139,11 @@ def validate(model: StaticModel) -> list[Diagnostic]:
         if stage.kind is not ActionKind.TRANSFER or stage.owner in cyclic:
             continue
         faces_outside = False
-        for flow in model.flows.values():
-            if sid not in (flow.src, flow.dst):
+        for arrow in index.touching.get(sid, ()):
+            if not isinstance(arrow, Flow):
                 continue
             # a dangling end is V2's finding, not a machine this one faces
-            other = model.stages.get(flow.dst if flow.src == sid else flow.src)
+            other = model.stages.get(arrow.dst if arrow.src == sid else arrow.src)
             if other is not None and other.owner != stage.owner:
                 faces_outside = True
                 break
@@ -158,7 +152,7 @@ def validate(model: StaticModel) -> list[Diagnostic]:
                 Diagnostic(
                     "V6",
                     "warning",
-                    model.stage_ref(sid),
+                    index.stage_ref(sid),
                     "transfer stage never crosses toward another machine",
                 )
             )

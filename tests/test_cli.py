@@ -254,6 +254,32 @@ def test_simulate_stuck_run_exits_one(cli, tmp_path):
     assert "does not leave that stage" in r.stderr
 
 
+def test_simulate_tick_cap_exits_one_without_a_verdict(cli, tmp_path):
+    f = tmp_path / "ping_pong.tm"
+    f.write_text(
+        "thimac x { create; process; }\n"
+        "thimac y { create; process; }\n"
+        "flow x.create -> x.process;\n"
+        "flow y.create -> y.process;\n"
+        "trigger x.process => y.create;\n"
+        "trigger y.process => x.create;\n"
+        "event ping { region [x.create, x.process] }\n"
+        "event pong { region [y.create, y.process] }\n"
+        "behavior chatter { ping -> pong; pong -> ping; }\n"
+    )
+    s = tmp_path / "chatter.scn"
+    s.write_text("inject 0 x first\nmax 7\n")
+    r = cli("simulate", str(f), str(s), "--trace")
+    assert r.returncode == 1
+    assert r.stdout.splitlines()[0] == "0 first x.create create"
+    assert r.stdout.splitlines()[-1] == "6 y-2 y.create create"
+    assert r.stderr == "thimac: run hit the tick cap 7\n"
+    r = cli("simulate", str(f), str(s))
+    assert r.returncode == 1
+    assert r.stdout.split() == ["ping", "pong", "ping", "pong"]
+    assert r.stderr == "thimac: run hit the tick cap 7\n"
+
+
 def test_simulate_nonconforming_trace_exits_three(cli, tmp_path):
     f = tmp_path / "back.tm"
     f.write_text(

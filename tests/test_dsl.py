@@ -6,6 +6,7 @@ import pytest
 
 from thimac import SourceDocument, emit_dot, parse, serialize
 from thimac.dsl import RESERVED_WORDS, _tokenize
+from thimac.model import ActionKind, new_model
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -162,6 +163,41 @@ def test_carries_and_anchor_round_trip():
     assert canonical == (
         "thimac a {\n  create;\n  release;\n}\n\n" + flow_line + "\n"
     )
+
+
+def _named(name):
+    m = new_model()
+    m.add_stage(m.add_thimac(name), ActionKind.CREATE)
+    return m
+
+
+def _aliased(alias):
+    m = new_model()
+    m.add_stage(m.add_thimac("a"), ActionKind.CREATE, alias)
+    return m
+
+
+def _carrying(label):
+    m = new_model()
+    a = m.add_thimac("a")
+    m.add_flow(m.add_stage(a, ActionKind.CREATE), m.add_stage(a, ActionKind.RELEASE), label)
+    return m
+
+
+@pytest.mark.parametrize(
+    "model, needle",
+    [
+        (_named("flow"), "thimac t1: 'flow'"),
+        (_named("two words"), "thimac t1: 'two words'"),
+        (_named("1st"), "thimac t1: '1st'"),
+        (_aliased("as"), "alias of stage s1: 'as'"),
+        (_carrying("two\nlines"), "flow f1: a carries label cannot hold a newline"),
+    ],
+)
+def test_serialize_rejects_what_parse_cannot_read_back(model, needle):
+    with pytest.raises(ValueError) as exc:
+        serialize(model)
+    assert needle in str(exc.value)
 
 
 def test_event_time_parses_and_validates():

@@ -10,6 +10,7 @@ from thimac.model import (
     IllegalSuccession,
     KIND_ORDER,
     LEGAL_SUCCESSIONS,
+    ModelIndex,
     SelfTrigger,
     UnknownParent,
     UnknownStage,
@@ -210,5 +211,7 @@ def test_outgoing_flows_declaration_order():
     tc = m.add_stage(c, ActionKind.TRANSFER)
     m.add_flow(ta, tb, anchor=9)
     m.add_flow(ta, tc, anchor=4)
-    outs = m.outgoing_flows(ta)
+    index = ModelIndex(m)
+    outs = index.flows_from[ta]
     assert [f.anchor for f in outs] == [9, 4]
+    assert index.departure[ta].anchor == 4  # the lowest anchor leaves first

@@ -56,6 +56,11 @@ def test_empty_scenario_defaults(library):
         ("inject ² librarian.request x", 1, "bad tick"),
         ("choose system.booklist.transfer ² 1", 1, "bad occurrence"),
         ("choose system.booklist.transfer 0 ²", 1, "unknown flow"),
+        (
+            "inject 0 librarian.request x\ninject 3 librarian.request x",
+            2,
+            "duplicate inject label",
+        ),
     ],
 )
 def test_scenario_errors_carry_line_numbers(library, text, lineno, needle):
@@ -237,6 +242,26 @@ def test_max_ticks_caps_an_endless_chatter():
     assert trace.entries  # it did run
     assert max(e.time.start for e in trace.entries) < 7
     assert trace.final_tick < 7
+
+
+@pytest.mark.parametrize(
+    "text, truncated",
+    [
+        ("inject 0 x first\nmax 7\n", True),  # still chattering at the cap
+        ("inject 7 x late\nmax 7\n", True),  # a birth due at the cap
+        ("inject 0 x first\ninject 9 x late\nmax 7\n", True),  # one past it
+        ("", False),
+    ],
+)
+def test_truncated_marks_work_left_at_the_cap(text, truncated):
+    m = ping_pong_model()
+    assert run(m, load_scenario(m, text)).truncated is truncated
+
+
+def test_a_run_that_ends_before_its_cap_is_not_truncated(toast, corpus_dir):
+    m = toast.model
+    trace = run(m, load_scenario(m, scn(corpus_dir, "toast.scn")))
+    assert not trace.truncated
 
 
 def test_triggered_births_are_named_after_the_owner():
