@@ -3,7 +3,7 @@
 Subcommands::
 
     thimac validate MODEL [--json]
-    thimac events MODEL [--list | --encode EVENT | --decode CODE]
+    thimac events MODEL [--encode EVENT | --decode CODE]
     thimac behavior MODEL [--name NAME] [--dot]
     thimac simulate MODEL SCENARIO [--behavior NAME] [--trace] [--transitive]
     thimac export MODEL [--highlight EVENT] [--canonical]
@@ -24,7 +24,7 @@ from . import events as events_mod
 from . import __version__
 from .dsl import ParseResult, SourceDocument, emit_behavior_dot, emit_dot
 from .dsl import parse, serialize
-from .model import ModelIndex
+from .model import StaticModel
 from .simulate import (
     ScenarioError,
     SimulationError,
@@ -61,15 +61,15 @@ def _parse_file(path: str) -> ParseResult:
     return result
 
 
-def _origin_line(index: ModelIndex, subject: str) -> int:
+def _origin_line(model: StaticModel, subject: str) -> int:
     """Best-effort source line for a diagnostic subject."""
     for key in (
         subject,
-        index.resolve_stage_ref(subject),
-        index.thimac_at.get(subject),
+        model.resolve_stage_ref(subject),
+        model.resolve_thimac_path(subject),
     ):
-        if key is not None and key in index.model.origin:
-            return index.model.origin[key][0]
+        if key is not None and key in model.origin:
+            return model.origin[key][0]
     return 0
 
 
@@ -79,9 +79,8 @@ def cmd_validate(args) -> int:
     diags = validate(model)
     for behavior in result.behaviors.values():
         diags.extend(events_mod.check_behavior(model, behavior))
-    index = ModelIndex(model)
     for d in diags:
-        print(d.render(args.model, _origin_line(index, d.subject)), file=sys.stderr)
+        print(d.render(args.model, _origin_line(model, d.subject)), file=sys.stderr)
     errors = sum(1 for d in diags if d.severity == "error")
     warnings = len(diags) - errors
     if args.json:

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import events as events_mod
-from .model import ActionKind, KIND_ORDER, ModelError, ModelIndex, Region, StaticModel
+from .model import ActionKind, KIND_ORDER, ModelError, Region, StaticModel
 from .model import anchor_order, new_model
 from .events import BehaviorModel, EventDef, TimeSubthimac
 
@@ -430,13 +430,12 @@ class _Parser:
 
     def resolve(self) -> tuple[list[EventDef], dict[str, BehaviorModel]]:
         model = self.model
-        names = ModelIndex(model)  # its name paths stay valid as arrows are added
         # Every flow before every trigger, each kind in declaration order.
         for kw, src_ref, dst_ref, carries, anchor in sorted(
             self.arrows, key=lambda arrow: arrow.keyword.value == "trigger"
         ):
-            src = names.resolve_stage_ref(src_ref)
-            dst = names.resolve_stage_ref(dst_ref)
+            src = model.resolve_stage_ref(src_ref)
+            dst = model.resolve_stage_ref(dst_ref)
             if src is None or dst is None:
                 missing = src_ref if src is None else dst_ref
                 self.error(f"unknown stage reference {missing!r}", kw)
@@ -456,7 +455,7 @@ class _Parser:
             if name.value in defined:
                 self.error(f"event {name.value!r} is already declared", name)
                 continue
-            sids = [names.resolve_stage_ref(ref) for ref in refs]
+            sids = [model.resolve_stage_ref(ref) for ref in refs]
             for ref, sid in zip(refs, sids):
                 if sid is None:
                     self.error(f"unknown stage reference {ref!r}", name)
@@ -582,6 +581,8 @@ def serialize(model: StaticModel, events=(), behaviors=None) -> str:
                 raise ValueError(f"flow {f.id}: a carries label cannot hold a newline")
             line += f' carries "{_escape(f.carries)}"'
         if f.anchor is not None:
+            if f.anchor < 0:
+                raise ValueError(f"flow {f.id}: anchor {f.anchor} is negative")
             line += f" anchor {f.anchor}"
         flow_lines.append(line + ";")
     sections.append(flow_lines)

@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import (
-    ActionKind,
-    ModelIndex,
-    StaticModel,
-    legal_successor,
-)
+from .model import ActionKind, StaticModel, legal_successor
 from .validate import Diagnostic
 
 
@@ -189,10 +184,11 @@ def event_action_sequence(model: StaticModel, event: EventDef) -> list[ActionKin
         return [model.stages[sid].kind]
     succ: dict[str, list[str]] = {sid: [] for sid in stages}
     indeg: dict[str, int] = {sid: 0 for sid in stages}
-    for flow in model.flows.values():
-        if flow.src in stages and flow.dst in stages:
-            succ[flow.src].append(flow.dst)
-            indeg[flow.dst] += 1
+    for sid in stages:
+        for flow in model.flows_from.get(sid, ()):
+            if flow.dst in stages:
+                succ[sid].append(flow.dst)
+                indeg[flow.dst] += 1
     starts = [sid for sid in stages if indeg[sid] == 0]
     if len(starts) != 1 or any(len(nxt) > 1 for nxt in succ.values()):
         raise NonLinearRegion(f"event {event.name!r} is not a single flow chain")
@@ -272,8 +268,7 @@ def check_behavior(model: StaticModel, behavior: BehaviorModel) -> list[Diagnost
     out: list[Diagnostic] = []
     regions = {eid: ev.region for eid, ev in behavior.events.items()}
 
-    index = ModelIndex(model)
-    tables = (index.flows_from, index.triggers_from)
+    tables = (model.flows_from, model.triggers_from)
     for a, b in behavior.edges:
         ends = {x.dst for sid in regions[a] for table in tables for x in table.get(sid, ())}
         if ends.isdisjoint(regions[b]):

@@ -11,6 +11,14 @@ Models are plain data.  Once built (and validated) they are meant to be
 treated as immutable; every downstream operation is a pure function of the
 model, so sharing a model across threads is safe as long as nobody keeps
 calling the ``add_*`` methods.
+
+Besides the raw dicts a model keeps the lookup tables every layer reads:
+the flows and triggers leaving each stage, anchor -> flow, and dotted
+path -> thimac.  Only the ``add_*`` methods write the raw dicts and the
+tables alike, so a model built through them never holds a stale table.
+Code that edits the raw dicts directly gets a model whose tables no
+longer match; :func:`thimac.validate.validate` audits such models from
+the raw dicts alone and reads no table.
 """
 
 from __future__ import annotations
@@ -210,6 +218,15 @@ class StaticModel:
         self.roots: list[str] = []
         # source positions (entity id -> (line, col)), filled by the parser
         self.origin: dict[str, tuple[int, int]] = {}
+        #: stage id -> flows leaving it / triggers sourced at it, declared order
+        self.flows_from: dict[str, list[Flow]] = {}
+        self.triggers_from: dict[str, list[Trigger]] = {}
+        #: anchor -> the first flow declared with it
+        self.by_anchor: dict[int, Flow] = {}
+        #: dotted name path -> thimac id; a name holding a dot never
+        #: resolves, and neither does anything nested under it
+        self.thimac_at: dict[str, str] = {}
+        self._path_of: dict[str, str] = {}  # the inverse of thimac_at
         self._counters = {"t": 0, "s": 0, "f": 0, "g": 0}
 
     # -- construction -------------------------------------------------
@@ -230,10 +247,16 @@ class StaticModel:
                 )
         tid = self._next_id("t")
         self.thimacs[tid] = Thimac(id=tid, name=name, parent=parent)
+        path: str | None = name
         if parent is None:
             self.roots.append(tid)
         else:
             self.thimacs[parent].children.append(tid)
+            above = self._path_of.get(parent)
+            path = None if above is None else f"{above}.{name}"
+        if path is not None and "." not in name:
+            self.thimac_at[path] = tid
+            self._path_of[tid] = path
         return tid
 
     def add_stage(
@@ -272,7 +295,10 @@ class StaticModel:
         if not legal_successor(a.kind, b.kind, same_scope):
             raise IllegalSuccession(a.kind, b.kind, same_scope)
         fid = self._next_id("f")
-        self.flows[fid] = Flow(id=fid, src=src, dst=dst, carries=carries, anchor=anchor)
+        flow = self.flows[fid] = Flow(fid, src, dst, carries, anchor)
+        self.flows_from.setdefault(src, []).append(flow)
+        if anchor is not None:
+            self.by_anchor.setdefault(anchor, flow)
         return fid
 
     def add_trigger(self, src: str, dst: str) -> str:
@@ -283,7 +309,8 @@ class StaticModel:
         if src == dst:
             raise SelfTrigger(f"stage {self.stage_ref(src)} cannot trigger itself")
         gid = self._next_id("g")
-        self.triggers[gid] = Trigger(id=gid, src=src, dst=dst)
+        trigger = self.triggers[gid] = Trigger(gid, src, dst)
+        self.triggers_from.setdefault(src, []).append(trigger)
         return gid
 
     # -- structure queries --------------------------------------------
@@ -322,11 +349,23 @@ class StaticModel:
 
     def resolve_thimac_path(self, path: str) -> str | None:
         """Resolve a dotted name path to a thimac id, or None."""
-        return ModelIndex(self).thimac_at.get(path)
+        return self.thimac_at.get(path)
 
     def resolve_stage_ref(self, ref: str) -> str | None:
         """Resolve ``path.kind`` (or ``path.alias``) to a stage id, or None."""
-        return ModelIndex(self).resolve_stage_ref(ref)
+        path, dot, last = ref.rpartition(".")
+        tid = self.thimac_at.get(path) if dot else None
+        if tid is None:
+            return None
+        stages = self.thimacs[tid].stages
+        try:
+            return stages.get(ActionKind(last))
+        except ValueError:
+            pass
+        for sid in stages.values():
+            if self.stages[sid].alias == last:
+                return sid
+        return None
 
     def iter_thimacs_depth_first(self):
         """Yield thimac ids, roots first, children in declaration order."""
@@ -352,10 +391,12 @@ class StaticModel:
             if sid not in self.stages:
                 raise UnknownStage(f"unknown stage {sid!r}")
         adj: dict[str, set[str]] = {sid: set() for sid in stage_set}
-        for arrow in (*self.flows.values(), *self.triggers.values()):
-            if arrow.src in adj and arrow.dst in adj:
-                adj[arrow.src].add(arrow.dst)
-                adj[arrow.dst].add(arrow.src)
+        for sid in stage_set:
+            leaving = self.flows_from.get(sid, []) + self.triggers_from.get(sid, [])
+            for arrow in leaving:
+                if arrow.dst in adj:
+                    adj[sid].add(arrow.dst)
+                    adj[arrow.dst].add(sid)
         start = next(iter(stage_set))
         seen = {start}
         frontier = [start]
@@ -371,74 +412,6 @@ class StaticModel:
 def anchor_order(flow: Flow) -> tuple[bool, int]:
     """Sort key: lowest anchor first, unanchored last; ties keep input order."""
     return (flow.anchor is None, flow.anchor or 0)
-
-
-class ModelIndex:
-    """Read-only lookup tables over one model and its declared events: a
-    snapshot, so build one per operation, once the model is complete."""
-
-    def __init__(self, model: StaticModel, events=()) -> None:
-        self.model = model
-        #: stage id -> flows leaving it / triggers sourced at it, declared order
-        self.flows_from: dict[str, list[Flow]] = {}
-        self.triggers_from: dict[str, list[Trigger]] = {}
-        #: stage id -> every flow and trigger with an end there
-        self.touching: dict[str, list[Flow | Trigger]] = {}
-        for arrow in (*model.flows.values(), *model.triggers.values()):
-            leaving = self.flows_from if isinstance(arrow, Flow) else self.triggers_from
-            leaving.setdefault(arrow.src, []).append(arrow)
-            for end in (arrow.src, arrow.dst):
-                self.touching.setdefault(end, []).append(arrow)
-        #: anchor -> the first flow declared with it
-        self.by_anchor: dict[int, Flow] = {
-            f.anchor: f for f in reversed(model.flows.values()) if f.anchor is not None
-        }
-        #: stage id -> its default departure; stages with no way out are absent
-        self.departure: dict[str, Flow] = {
-            sid: min(outs, key=anchor_order) for sid, outs in self.flows_from.items()
-        }
-        #: dotted name path -> thimac id; the first of equal siblings wins
-        self.thimac_at: dict[str, str] = {}
-        scopes = [("", model.roots)]
-        while scopes:
-            prefix, scope = scopes.pop()
-            for tid in scope:
-                name = model.thimacs[tid].name
-                path = prefix + name
-                if "." not in name and path not in self.thimac_at:
-                    self.thimac_at[path] = tid
-                    scopes.append((path + ".", model.thimacs[tid].children))
-        #: stage id -> the declared events whose region holds it, in order
-        self.events_at: dict[str, list] = {}
-        for ev in events:
-            for sid in ev.region:
-                self.events_at.setdefault(sid, []).append(ev)
-        self._refs: dict[str, str] = {}
-
-    def stage_ref(self, stage_id: str) -> str:
-        """``StaticModel.stage_ref``, computed once per stage."""
-        ref = self._refs.get(stage_id)
-        if ref is None:
-            ref = self._refs[stage_id] = self.model.stage_ref(stage_id)
-        return ref
-
-    def resolve_stage_ref(self, ref: str) -> str | None:
-        """Resolve ``path.kind`` (or ``path.alias``) to a stage id, or None."""
-        if "." not in ref:
-            return None
-        path, last = ref.rsplit(".", 1)
-        tid = self.thimac_at.get(path)
-        if tid is None:
-            return None
-        stages = self.model.thimacs[tid].stages
-        try:
-            return stages.get(ActionKind(last))
-        except ValueError:
-            pass
-        for sid in stages.values():
-            if self.model.stages[sid].alias == last:
-                return sid
-        return None
 
 
 def new_model() -> StaticModel:

@@ -13,7 +13,8 @@ The chronology rules, all of them:
   is a gate: arrivals rest there until a trigger wakes them.
 * Entering a process stage fires every trigger sourced at it.  Effects
   land one tick later: a create target births a new thing, any other
-  target wakes the things resting there — or lapses if nobody is.
+  target wakes the things resting there — or lapses if nobody is.  The
+  n-th thing born at a thimac called ``name`` is labelled ``name-n``.
 * A stage with no outgoing flow is terminal; arrivals rest for good.
 * The run ends when nothing can move any more, or at the tick cap; a
   run the cap stopped with work pending is truncated, and
@@ -27,9 +28,10 @@ the next birth or awakening.  The trace is bit-for-bit reproducible.
 from __future__ import annotations
 
 import bisect
+import re
 from dataclasses import dataclass, field
 
-from .model import ActionKind, ModelIndex, StaticModel
+from .model import ActionKind, Flow, StaticModel, anchor_order
 from .events import TimeSubthimac
 
 
@@ -93,6 +95,11 @@ class Trace:
     truncated: bool = False
 
 
+#: ``<name>-<n>``: the label of the n-th thing born at a create stage of
+#: a thimac called ``<name>``
+_BIRTH_LABEL = re.compile(r"(.*)-[1-9][0-9]*")
+
+
 def load_scenario(model: StaticModel, text: str) -> Scenario:
     """Parse scenario text.
 
@@ -103,8 +110,10 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
         inject <tick> <thimac-path> <label>
         choose <stage-ref> <occurrence> <flow-anchor-or-id>
         max <ticks>
+
+    An inject label may not be one a trigger-born thing could get:
+    ``<name>-<n>`` where ``<name>`` owns the create stage of a trigger.
     """
-    index = ModelIndex(model)
     injections: list[tuple[int, str, str]] = []
     labels: set[str] = set()
     choices: dict[tuple[str, int], str] = {}
@@ -120,7 +129,7 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
                 raise ScenarioError("expected: inject <tick> <path> <label>", lineno)
             if not toks[1].isdecimal():
                 raise ScenarioError(f"bad tick {toks[1]!r}", lineno)
-            tid = index.thimac_at.get(toks[2])
+            tid = model.resolve_thimac_path(toks[2])
             if tid is None:
                 raise ScenarioError(f"unknown thimac {toks[2]!r}", lineno)
             if ActionKind.CREATE not in model.thimacs[tid].stages:
@@ -129,6 +138,14 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
                 )
             if toks[3] in labels:
                 raise ScenarioError(f"duplicate inject label {toks[3]!r}", lineno)
+            born = _BIRTH_LABEL.fullmatch(toks[3])
+            if born and any(
+                model.stages[g.dst].kind is ActionKind.CREATE
+                and model.thimacs[model.stages[g.dst].owner].name == born[1]
+                for g in model.triggers.values()
+            ):
+                message = f"inject label {toks[3]!r} is reserved for trigger-born things"
+                raise ScenarioError(message, lineno)
             labels.add(toks[3])
             injections.append((int(toks[1]), tid, toks[3]))
         elif word == "choose":
@@ -136,7 +153,7 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
                 raise ScenarioError(
                     "expected: choose <stage-ref> <occurrence> <flow>", lineno
                 )
-            sid = index.resolve_stage_ref(toks[1])
+            sid = model.resolve_stage_ref(toks[1])
             if sid is None:
                 raise ScenarioError(f"unknown stage {toks[1]!r}", lineno)
             if not toks[2].isdecimal():
@@ -144,9 +161,9 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
             spec = toks[3]
             if spec.isdecimal():
                 anchor = int(spec)
-                if anchor not in index.by_anchor:
+                if anchor not in model.by_anchor:
                     raise ScenarioError(f"no flow has anchor {anchor}", lineno)
-                fid = index.by_anchor[anchor].id
+                fid = model.by_anchor[anchor].id
             elif spec in model.flows:
                 fid = spec
             else:
@@ -170,10 +187,12 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
 class SimState:
     """A run in progress.  ``moving`` and ``resting`` hold (creation number,
     thing) pairs in creation order, the order things move in, which fixes
-    departure counts and birth labels."""
+    departure counts and birth labels.  ``departure`` holds each stage's
+    default way out; stages with none are absent."""
 
-    index: ModelIndex
+    model: StaticModel
     scenario: Scenario
+    departure: dict[str, Flow]
     time: int = 0
     things: list[ThingInstance] = field(default_factory=list)
     entries: list[GenericEventInstance] = field(default_factory=list)
@@ -188,25 +207,23 @@ class SimState:
 
 def _enter(state: SimState, moved: tuple[int, ThingInstance], sid: str, t: int) -> None:
     """Put a thing at a stage for tick t and apply the stage's effects."""
-    index, thing = state.index, moved[1]
+    model, thing = state.model, moved[1]
     thing.stage, thing.entered_at = sid, t
-    stage = index.model.stages[sid]
+    stage = model.stages[sid]
     state.entries.append(
         GenericEventInstance(thing.label, sid, stage.kind, TimeSubthimac(t, t + 1))
     )
     if stage.kind is ActionKind.PROCESS:
-        for trig in index.triggers_from.get(sid, ()):
-            target = index.model.stages[trig.dst]
+        for trig in model.triggers_from.get(sid, ()):
+            target = model.stages[trig.dst]
             if target.kind is ActionKind.CREATE:
-                owner = index.model.thimacs[target.owner]
-                n = state.birth_counts.get(trig.dst, 0) + 1
-                state.birth_counts[trig.dst] = n
-                state.births.setdefault(t + 1, []).append(
-                    (trig.dst, f"{owner.name}-{n}")
-                )
+                name = model.thimacs[target.owner].name
+                n = state.birth_counts.get(name, 0) + 1
+                state.birth_counts[name] = n
+                state.births.setdefault(t + 1, []).append((trig.dst, f"{name}-{n}"))
             else:
                 state.awakenings.setdefault(t + 1, []).append(trig.dst)
-    if sid in state.gates or sid not in index.departure:
+    if sid in state.gates or sid not in state.departure:
         thing.resting = True
         bisect.insort(state.resting.setdefault(sid, []), moved)
     else:
@@ -220,11 +237,11 @@ def _move(state: SimState, moved: tuple[int, ThingInstance], t: int) -> None:
     state.departures[sid] = occ + 1
     chosen = state.scenario.choices.get((sid, occ))
     if chosen is None:
-        flow = state.index.departure[sid]
+        flow = state.departure[sid]
     else:
-        flow = state.index.model.flows[chosen]
+        flow = state.model.flows[chosen]
         if flow.src != sid:
-            ref = state.index.stage_ref(sid)
+            ref = state.model.stage_ref(sid)
             raise StuckThing(
                 t,
                 ref,
@@ -243,7 +260,7 @@ def step(state: SimState) -> None:
         state.things.append(thing)
         _enter(state, (len(state.things), thing), sid, t)
     for sid in state.awakenings.pop(t, ()):
-        if sid not in state.index.departure:
+        if sid not in state.departure:
             continue  # the awakening lapses: nowhere to go
         here = state.resting.get(sid, [])
         state.resting[sid] = [p for p in here if p[1].entered_at >= t]
@@ -258,7 +275,10 @@ def step(state: SimState) -> None:
 
 def run(model: StaticModel, scenario: Scenario) -> Trace:
     """Run to quiescence (or the tick cap) and return the sorted trace."""
-    state = SimState(index=ModelIndex(model), scenario=scenario)
+    departure = {
+        sid: min(outs, key=anchor_order) for sid, outs in model.flows_from.items()
+    }
+    state = SimState(model, scenario, departure)
     state.gates = frozenset(
         g.dst
         for g in model.triggers.values()
@@ -292,9 +312,9 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
 
 def render_trace(model: StaticModel, trace: Trace) -> str:
     """One line per entry: ``<tick> <thing> <stage-ref> <kind>``."""
-    index = ModelIndex(model)
+    refs = {sid: model.stage_ref(sid) for sid in {e.stage for e in trace.entries}}
     return "\n".join(
-        f"{e.time.start} {e.thing} {index.stage_ref(e.stage)} {e.kind.value}"
+        f"{e.time.start} {e.thing} {refs[e.stage]} {e.kind.value}"
         for e in trace.entries
     )
 
@@ -322,9 +342,12 @@ def project(model: StaticModel, trace: Trace, events) -> ProjectionResult:
     surviving candidate and start a new run.  Entries no region covers
     at all are reported as uncovered stage references.
     """
-    index = ModelIndex(model, events)
+    events_at: dict[str, list] = {}  # stage id -> the events holding it, in order
+    for ev in events:
+        for sid in ev.region:
+            events_at.setdefault(sid, []).append(ev)
     projected = []
-    uncovered: list[str] = []
+    uncovered: dict[str, str] = {}  # stage id -> its ref
     candidates: list = []
     for entry in trace.entries:
         sid = entry.stage
@@ -335,16 +358,15 @@ def project(model: StaticModel, trace: Trace, events) -> ProjectionResult:
                 continue
             projected.append(candidates[0])
             candidates = []
-        starters = index.events_at.get(sid)
+        starters = events_at.get(sid)
         if starters:
             candidates = starters
-        else:
-            ref = index.stage_ref(sid)
-            if ref not in uncovered:
-                uncovered.append(ref)
+        elif sid not in uncovered:
+            uncovered[sid] = model.stage_ref(sid)
     if candidates:
         projected.append(candidates[0])
-    return ProjectionResult(tuple(projected), tuple(uncovered))
+    # stages under a dotted name can share a ref: list each ref once
+    return ProjectionResult(tuple(projected), tuple(dict.fromkeys(uncovered.values())))
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .model import ActionKind, Flow, ModelIndex, StaticModel, legal_successor
+from .model import ActionKind, StaticModel, legal_successor
 
 Severity = Literal["error", "warning"]
 
@@ -48,8 +48,11 @@ class Diagnostic:
 
 
 def validate(model: StaticModel) -> list[Diagnostic]:
-    """Run every V-check; deterministic order, idempotent, read-only."""
-    index = ModelIndex(model)
+    """Run every V-check; deterministic order, idempotent, read-only.
+
+    Only the raw dicts are read, never the model's lookup tables, so a
+    model edited by hand is audited as it stands.
+    """
     out: list[Diagnostic] = []
 
     # V1: the constructive API cannot produce this, but raw models can.
@@ -88,7 +91,12 @@ def validate(model: StaticModel) -> list[Diagnostic]:
             )
         )
 
+    # For V5 and V6: the stages any arrow touches, and the ends of flows
+    # between two machines (a dangling end is V2's finding, not a machine).
+    touched = {end for g in model.triggers.values() for end in (g.src, g.dst)}
+    faces_outside: set[str] = set()
     for flow in model.flows.values():
+        touched.update((flow.src, flow.dst))
         src = model.stages.get(flow.src)
         dst = model.stages.get(flow.dst)
         if src is None or dst is None:
@@ -96,6 +104,8 @@ def validate(model: StaticModel) -> list[Diagnostic]:
                 Diagnostic("V2", "error", flow.id, "flow endpoint is not a stage")
             )
             continue
+        if src.owner != dst.owner:
+            faces_outside.update((flow.src, flow.dst))
         if src.owner in cyclic or dst.owner in cyclic:
             continue  # ancestry is meaningless inside a V4 cycle
         same_scope = src.owner == dst.owner or model.nesting_related(
@@ -110,7 +120,7 @@ def validate(model: StaticModel) -> list[Diagnostic]:
                     "V3",
                     "error",
                     flow.id,
-                    f"{index.stage_ref(flow.src)} -> {index.stage_ref(flow.dst)} "
+                    f"{model.stage_ref(flow.src)} -> {model.stage_ref(flow.dst)} "
                     "crosses machines without a transfer pair",
                 )
             )
@@ -124,35 +134,26 @@ def validate(model: StaticModel) -> list[Diagnostic]:
                 )
             )
 
-    for sid in model.stages:
-        if sid not in index.touching:
+    for sid, stage in model.stages.items():
+        if sid not in touched:
             out.append(
                 Diagnostic(
                     "V5",
                     "warning",
-                    index.stage_ref(sid),
+                    model.stage_ref(sid),
                     "stage has no incident flow or trigger (dead potentiality)",
                 )
             )
-
-    for sid, stage in model.stages.items():
-        if stage.kind is not ActionKind.TRANSFER or stage.owner in cyclic:
-            continue
-        faces_outside = False
-        for arrow in index.touching.get(sid, ()):
-            if not isinstance(arrow, Flow):
-                continue
-            # a dangling end is V2's finding, not a machine this one faces
-            other = model.stages.get(arrow.dst if arrow.src == sid else arrow.src)
-            if other is not None and other.owner != stage.owner:
-                faces_outside = True
-                break
-        if not faces_outside:
+        if (
+            stage.kind is ActionKind.TRANSFER
+            and stage.owner not in cyclic
+            and sid not in faces_outside
+        ):
             out.append(
                 Diagnostic(
                     "V6",
                     "warning",
-                    index.stage_ref(sid),
+                    model.stage_ref(sid),
                     "transfer stage never crosses toward another machine",
                 )
             )

@@ -80,12 +80,10 @@ def _enter(state: SimState, thing: ThingInstance, sid: str, t: int) -> None:
                 continue
             target = model.stages[trig.dst]
             if target.kind is ActionKind.CREATE:
-                owner = model.thimacs[target.owner]
-                n = state.birth_counts.get(trig.dst, 0) + 1
-                state.birth_counts[trig.dst] = n
-                state.births.setdefault(t + 1, []).append(
-                    (trig.dst, f"{owner.name}-{n}")
-                )
+                name = model.thimacs[target.owner].name
+                n = state.birth_counts.get(name, 0) + 1  # numbered per owner name
+                state.birth_counts[name] = n
+                state.births.setdefault(t + 1, []).append((trig.dst, f"{name}-{n}"))
             else:
                 state.awakenings.setdefault(t + 1, []).append(trig.dst)
     if sid in state.gates or not outgoing_flows(model, sid):

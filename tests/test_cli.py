@@ -1,7 +1,11 @@
 """End-to-end command line checks (subprocess level)."""
 
 import json
+import re
 
+import pytest
+
+from thimac import cli as cli_mod
 from thimac.dsl import serialize
 
 LIB = "corpus/library.tm"
@@ -342,3 +346,19 @@ def test_export_canonical_round_trip(cli, library):
     assert r.stdout == serialize(
         library.model, library.events, library.behaviors
     )
+
+
+# ---------------------------------------------------------------------------
+# usage
+
+
+def test_module_docstring_lists_only_real_options(capsys):
+    lines = [line.split() for line in cli_mod.__doc__.splitlines()]
+    commands = [words for words in lines if words[:1] == ["thimac"]]
+    assert len(commands) == 5
+    for words in commands:
+        with pytest.raises(SystemExit):
+            cli_mod.main([words[1], "--help"])
+        usage = capsys.readouterr().out
+        for flag in re.findall(r"--[a-z]+", " ".join(words)):
+            assert flag in usage, (words[1], flag)

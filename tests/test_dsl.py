@@ -177,10 +177,11 @@ def _aliased(alias):
     return m
 
 
-def _carrying(label):
+def _carrying(label, anchor=None):
     m = new_model()
     a = m.add_thimac("a")
-    m.add_flow(m.add_stage(a, ActionKind.CREATE), m.add_stage(a, ActionKind.RELEASE), label)
+    c, r = m.add_stage(a, ActionKind.CREATE), m.add_stage(a, ActionKind.RELEASE)
+    m.add_flow(c, r, label, anchor)
     return m
 
 
@@ -192,6 +193,7 @@ def _carrying(label):
         (_named("1st"), "thimac t1: '1st'"),
         (_aliased("as"), "alias of stage s1: 'as'"),
         (_carrying("two\nlines"), "flow f1: a carries label cannot hold a newline"),
+        (_carrying(None, -1), "flow f1: anchor -1 is negative"),
     ],
 )
 def test_serialize_rejects_what_parse_cannot_read_back(model, needle):

@@ -1,6 +1,8 @@
 """Static-model construction and the succession grammar."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thimac.model import (
     ActionKind,
@@ -10,11 +12,11 @@ from thimac.model import (
     IllegalSuccession,
     KIND_ORDER,
     LEGAL_SUCCESSIONS,
-    ModelIndex,
     SelfTrigger,
     UnknownParent,
     UnknownStage,
     UnpairedBoundaryCrossing,
+    anchor_order,
     legal_successor,
     new_model,
 )
@@ -211,7 +213,83 @@ def test_outgoing_flows_declaration_order():
     tc = m.add_stage(c, ActionKind.TRANSFER)
     m.add_flow(ta, tb, anchor=9)
     m.add_flow(ta, tc, anchor=4)
-    index = ModelIndex(m)
-    outs = index.flows_from[ta]
+    outs = m.flows_from[ta]
     assert [f.anchor for f in outs] == [9, 4]
-    assert index.departure[ta].anchor == 4  # the lowest anchor leaves first
+    assert min(outs, key=anchor_order).anchor == 4  # the lowest anchor leaves first
+
+
+# ---------------------------------------------------------------------------
+# the lookup tables add_* keeps
+
+
+@st.composite
+def built_models(draw):
+    """A random model built only through ``add_*``: nesting, names with and
+    without dots, aliases, anchored and unanchored flows, triggers."""
+    m = new_model()
+    tids: list[str] = []
+    for _ in range(draw(st.integers(1, 8))):
+        parent = draw(st.sampled_from([None, *tids]))
+        name = draw(st.sampled_from(["a", "b", "c", "a.b", "b.c", ""]))
+        try:
+            tids.append(m.add_thimac(name, parent))
+        except DuplicateSiblingName:
+            pass
+    stages: list[str] = []
+    for tid in tids:
+        for kind in draw(st.lists(st.sampled_from(KIND_ORDER), unique=True)):
+            alias = draw(st.sampled_from([None, "x", "y", "create"]))
+            stages.append(m.add_stage(tid, kind, alias))
+    if stages:
+        ends = st.sampled_from(stages)
+        anchors = st.one_of(st.none(), st.integers(-2, 4))
+        for _ in range(draw(st.integers(0, 25))):
+            try:
+                m.add_flow(draw(ends), draw(ends), anchor=draw(anchors))
+            except (IllegalSuccession, UnpairedBoundaryCrossing):
+                pass
+        for _ in range(draw(st.integers(0, 6))):
+            try:
+                m.add_trigger(draw(ends), draw(ends))
+            except SelfTrigger:
+                pass
+    return m
+
+
+def _names_above(m, tid):
+    names = []
+    while tid is not None:
+        names.append(m.thimacs[tid].name)
+        tid = m.thimacs[tid].parent
+    return names
+
+
+@settings(max_examples=300, deadline=None)
+@given(built_models())
+def test_tables_match_a_derivation_from_the_raw_dicts(m):
+    def ids(table):
+        return {key: [arrow.id for arrow in arrows] for key, arrows in table.items()}
+
+    flows, triggers = list(m.flows.values()), list(m.triggers.values())
+    assert ids(m.flows_from) == ids(
+        {s: [f for f in flows if f.src == s] for s in {f.src for f in flows}}
+    )
+    assert ids(m.triggers_from) == ids(
+        {s: [g for g in triggers if g.src == s] for s in {g.src for g in triggers}}
+    )
+    first = {}
+    for f in reversed(flows):
+        if f.anchor is not None:
+            first[f.anchor] = f.id
+    assert {anchor: f.id for anchor, f in m.by_anchor.items()} == first
+
+    reachable = {
+        tid for tid in m.thimacs if not any("." in n for n in _names_above(m, tid))
+    }
+    assert m.thimac_at == {m.thimac_path(tid): tid for tid in reachable}
+    for tid in m.thimacs:
+        found = m.resolve_thimac_path(m.thimac_path(tid))
+        assert (found == tid) == (tid in reachable)
+    for sid, stage in m.stages.items():
+        if stage.owner in reachable:
+            assert m.resolve_stage_ref(m.stage_ref(sid)) == sid

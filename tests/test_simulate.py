@@ -275,6 +275,49 @@ def test_triggered_births_are_named_after_the_owner():
     assert y1[0].kind is ActionKind.CREATE
 
 
+def one_trigger_model():
+    """x.process => y.create, the only trigger."""
+    m = new_model()
+    x = m.add_thimac("x")
+    y = m.add_thimac("y")
+    xp = m.add_stage(x, ActionKind.PROCESS)
+    m.add_flow(m.add_stage(x, ActionKind.CREATE), xp)
+    m.add_trigger(xp, m.add_stage(y, ActionKind.CREATE))
+    return m
+
+
+@pytest.mark.parametrize("label", ["y-1", "y-12"])
+def test_inject_label_a_trigger_could_birth_is_rejected(label):
+    m = one_trigger_model()
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(m, f"inject 0 x a\ninject 0 y {label}\n")
+    assert exc.value.line == 2
+    assert "reserved for trigger-born things" in str(exc.value)
+
+
+@pytest.mark.parametrize("label", ["x-1", "y-0", "y-01", "y-", "yy-1", "y"])
+def test_inject_labels_no_birth_can_take_are_accepted(label):
+    m = one_trigger_model()
+    trace = run(m, load_scenario(m, f"inject 0 x a\ninject 0 y {label}\n"))
+    assert sorted(trace.things) == sorted(["a", label, "y-1"])
+
+
+def test_births_are_numbered_per_owner_name():
+    m = new_model()
+    creates = {}
+    for outer in ("x", "y"):  # x.req and y.req: two create stages, one name
+        tid = m.add_thimac(outer)
+        process = m.add_stage(tid, ActionKind.PROCESS)
+        m.add_flow(m.add_stage(tid, ActionKind.CREATE), process)
+        creates[outer] = m.add_stage(m.add_thimac("req", tid), ActionKind.CREATE)
+        m.add_trigger(process, creates[outer])
+    trace = run(m, load_scenario(m, "inject 0 x a\ninject 0 y b\n"))
+    assert len(trace.things) == 4
+    assert trace.things["req-1"].stage == creates["x"]
+    assert trace.things["req-2"].stage == creates["y"]
+    assert sum(e.thing == "req-1" for e in trace.entries) == 1
+
+
 def test_awakening_with_nowhere_to_go_lapses():
     m = new_model()
     x = m.add_thimac("x")
