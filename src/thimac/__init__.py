@@ -8,7 +8,7 @@ regions, assembles event chronologies, runs deterministic thing-flow
 ticks, and checks runs against a chronology.
 """
 
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 __version__ = "0.1.0"
 
@@ -78,61 +78,9 @@ from .simulate import (
     run,
 )
 
-__all__ = [
-    "ActionKind",
-    "AmbiguousReading",
-    "BehaviorModel",
-    "ConformanceReport",
-    "Diagnostic",
-    "EventDef",
-    "EventError",
-    "Flow",
-    "GenericEventInstance",
-    "KIND_ORDER",
-    "LEGAL_SUCCESSIONS",
-    "ModelError",
-    "NoLegalReading",
-    "NonLinearRegion",
-    "ParseDiagnostic",
-    "ParseResult",
-    "ProjectionResult",
-    "Region",
-    "Scenario",
-    "ScenarioError",
-    "SimulationError",
-    "SourceDocument",
-    "Stage",
-    "StaticModel",
-    "StuckThing",
-    "Thimac",
-    "ThingInstance",
-    "TimeSubthimac",
-    "Trace",
-    "Trigger",
-    "UNVERIFIED_VERBS",
-    "UnknownVerb",
-    "VerbLexicon",
-    "build_behavior",
-    "chain_legal",
-    "check_behavior",
-    "conforms",
-    "decode_actions",
-    "decompose",
-    "default_lexicon",
-    "define_event",
-    "emit_dot",
-    "encode_actions",
-    "event_action_sequence",
-    "event_moved",
-    "iter_legal_chains",
-    "legal_successor",
-    "load_scenario",
-    "new_model",
-    "parse",
-    "project",
-    "render_trace",
-    "run",
-    "serialize",
-    "validate",
-    "__version__",
-]
+#: every public name above but the submodules, sorted, then the version
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+) + ["__version__"]

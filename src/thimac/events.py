@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import ActionKind, StaticModel, legal_successor
+from .model import ActionKind, StaticModel, legal_successor, reachable
 from .validate import Diagnostic
 
 
@@ -288,14 +288,7 @@ def check_behavior(model: StaticModel, behavior: BehaviorModel) -> list[Diagnost
         succ[a].append(b)
         indeg[b] += 1
     sources = [eid for eid in behavior.events if indeg[eid] == 0 and succ[eid]]
-    reached = set(sources)
-    frontier = list(sources)
-    while frontier:
-        for nxt in succ[frontier.pop()]:
-            if nxt not in reached:
-                reached.add(nxt)
-                frontier.append(nxt)
-    for eid in sorted(set(behavior.events) - reached):
+    for eid in sorted(set(behavior.events) - reachable(succ, sources)):
         out.append(
             Diagnostic(
                 "B2", "warning", eid, "event is unreachable from any source event"

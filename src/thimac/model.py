@@ -5,7 +5,9 @@ owning at most one stage per generic action kind, wired together by flows
 (solid arrows that carry a thing from one potentiality to the next) and
 triggers (dashed arrows that activate another machine without moving a
 thing).  Construction enforces the structural rules; whole-model semantic
-checks live in :mod:`thimac.validate`.
+checks live in :mod:`thimac.validate`.  A thimac name may not hold a dot:
+dots join the names of a path (``librarian.request``), so every thimac
+and stage keeps a reference of its own.
 
 Models are plain data.  Once built (and validated) they are meant to be
 treated as immutable; every downstream operation is a pure function of the
@@ -119,6 +121,10 @@ class DuplicateSiblingName(ModelError):
     pass
 
 
+class DottedName(ModelError):
+    pass
+
+
 class UnknownThimac(ModelError):
     pass
 
@@ -223,8 +229,7 @@ class StaticModel:
         self.triggers_from: dict[str, list[Trigger]] = {}
         #: anchor -> the first flow declared with it
         self.by_anchor: dict[int, Flow] = {}
-        #: dotted name path -> thimac id; a name holding a dot never
-        #: resolves, and neither does anything nested under it
+        #: dotted name path -> thimac id
         self.thimac_at: dict[str, str] = {}
         self._path_of: dict[str, str] = {}  # the inverse of thimac_at
         self._counters = {"t": 0, "s": 0, "f": 0, "g": 0}
@@ -239,6 +244,8 @@ class StaticModel:
         """Add a thimac under ``parent`` (a root when parent is None)."""
         if parent is not None and parent not in self.thimacs:
             raise UnknownParent(f"unknown parent thimac {parent!r}")
+        if "." in name:
+            raise DottedName(f"thimac name {name!r} may not hold a dot")
         siblings = self.roots if parent is None else self.thimacs[parent].children
         for sib in siblings:
             if self.thimacs[sib].name == name:
@@ -247,16 +254,14 @@ class StaticModel:
                 )
         tid = self._next_id("t")
         self.thimacs[tid] = Thimac(id=tid, name=name, parent=parent)
-        path: str | None = name
+        path = name
         if parent is None:
             self.roots.append(tid)
         else:
             self.thimacs[parent].children.append(tid)
-            above = self._path_of.get(parent)
-            path = None if above is None else f"{above}.{name}"
-        if path is not None and "." not in name:
-            self.thimac_at[path] = tid
-            self._path_of[tid] = path
+            path = f"{self._path_of[parent]}.{name}"
+        self.thimac_at[path] = tid
+        self._path_of[tid] = path
         return tid
 
     def add_stage(
@@ -288,12 +293,11 @@ class StaticModel:
                 raise UnknownStage(f"unknown stage {sid!r}")
         a, b = self.stages[src], self.stages[dst]
         same_scope = a.owner == b.owner or self.nesting_related(a.owner, b.owner)
-        if not same_scope and not (
-            a.kind is ActionKind.TRANSFER and b.kind is ActionKind.TRANSFER
-        ):
-            raise UnpairedBoundaryCrossing(self.stage_ref(src), self.stage_ref(dst))
         if not legal_successor(a.kind, b.kind, same_scope):
-            raise IllegalSuccession(a.kind, b.kind, same_scope)
+            if same_scope:
+                raise IllegalSuccession(a.kind, b.kind, same_scope)
+            # transfer -> transfer is the only legal step across machines
+            raise UnpairedBoundaryCrossing(self.stage_ref(src), self.stage_ref(dst))
         fid = self._next_id("f")
         flow = self.flows[fid] = Flow(fid, src, dst, carries, anchor)
         self.flows_from.setdefault(src, []).append(flow)
@@ -397,16 +401,21 @@ class StaticModel:
                 if arrow.dst in adj:
                     adj[sid].add(arrow.dst)
                     adj[arrow.dst].add(sid)
-        start = next(iter(stage_set))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
+        seen = reachable(adj, [next(iter(stage_set))])
         return Region(stages=stage_set, connected=len(seen) == len(stage_set))
+
+
+def reachable(succ, starts) -> set:
+    """Every node reachable from ``starts``, the starts included, along
+    ``succ`` (node -> its successors; a node absent from it has none)."""
+    seen = set(starts)
+    stack = list(seen)
+    while stack:
+        for nxt in succ.get(stack.pop(), ()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
 
 
 def anchor_order(flow: Flow) -> tuple[bool, int]:

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .model import ActionKind, Flow, StaticModel, anchor_order
+from .model import ActionKind, StaticModel, anchor_order, reachable
 from .events import TimeSubthimac
 
 
@@ -118,6 +118,11 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
     labels: set[str] = set()
     choices: dict[tuple[str, int], str] = {}
     max_ticks = 1000
+    birth_names = {  # the owners of the create stages triggers lead to
+        model.thimacs[target.owner].name
+        for target in (model.stages[g.dst] for g in model.triggers.values())
+        if target.kind is ActionKind.CREATE
+    }
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -139,11 +144,7 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
             if toks[3] in labels:
                 raise ScenarioError(f"duplicate inject label {toks[3]!r}", lineno)
             born = _BIRTH_LABEL.fullmatch(toks[3])
-            if born and any(
-                model.stages[g.dst].kind is ActionKind.CREATE
-                and model.thimacs[model.stages[g.dst].owner].name == born[1]
-                for g in model.triggers.values()
-            ):
+            if born and born[1] in birth_names:
                 message = f"inject label {toks[3]!r} is reserved for trigger-born things"
                 raise ScenarioError(message, lineno)
             labels.add(toks[3])
@@ -183,130 +184,112 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
     return Scenario(tuple(injections), choices, max_ticks)
 
 
-@dataclass
-class SimState:
-    """A run in progress.  ``moving`` and ``resting`` hold (creation number,
+def run(model: StaticModel, scenario: Scenario) -> Trace:
+    """Run to quiescence (or the tick cap) and return the sorted trace.
+
+    ``moving`` and each stage's ``resting`` list hold (creation number,
     thing) pairs in creation order, the order things move in, which fixes
     departure counts and birth labels.  ``departure`` holds each stage's
-    default way out; stages with none are absent."""
-
-    model: StaticModel
-    scenario: Scenario
-    departure: dict[str, Flow]
-    time: int = 0
-    things: list[ThingInstance] = field(default_factory=list)
-    entries: list[GenericEventInstance] = field(default_factory=list)
-    births: dict[int, list[tuple[str, str]]] = field(default_factory=dict)
-    awakenings: dict[int, list[str]] = field(default_factory=dict)
-    moving: list[tuple[int, ThingInstance]] = field(default_factory=list)
-    resting: dict[str, list[tuple[int, ThingInstance]]] = field(default_factory=dict)
-    departures: dict[str, int] = field(default_factory=dict)
-    birth_counts: dict[str, int] = field(default_factory=dict)
-    gates: frozenset[str] = frozenset()
-
-
-def _enter(state: SimState, moved: tuple[int, ThingInstance], sid: str, t: int) -> None:
-    """Put a thing at a stage for tick t and apply the stage's effects."""
-    model, thing = state.model, moved[1]
-    thing.stage, thing.entered_at = sid, t
-    stage = model.stages[sid]
-    state.entries.append(
-        GenericEventInstance(thing.label, sid, stage.kind, TimeSubthimac(t, t + 1))
-    )
-    if stage.kind is ActionKind.PROCESS:
-        for trig in model.triggers_from.get(sid, ()):
-            target = model.stages[trig.dst]
-            if target.kind is ActionKind.CREATE:
-                name = model.thimacs[target.owner].name
-                n = state.birth_counts.get(name, 0) + 1
-                state.birth_counts[name] = n
-                state.births.setdefault(t + 1, []).append((trig.dst, f"{name}-{n}"))
-            else:
-                state.awakenings.setdefault(t + 1, []).append(trig.dst)
-    if sid in state.gates or sid not in state.departure:
-        thing.resting = True
-        bisect.insort(state.resting.setdefault(sid, []), moved)
-    else:
-        state.moving.append(moved)
-
-
-def _move(state: SimState, moved: tuple[int, ThingInstance], t: int) -> None:
-    """Take one flow out of the thing's stage: the chosen or the default."""
-    sid = moved[1].stage
-    occ = state.departures.get(sid, 0)
-    state.departures[sid] = occ + 1
-    chosen = state.scenario.choices.get((sid, occ))
-    if chosen is None:
-        flow = state.departure[sid]
-    else:
-        flow = state.model.flows[chosen]
-        if flow.src != sid:
-            ref = state.model.stage_ref(sid)
-            raise StuckThing(
-                t,
-                ref,
-                f"tick {t}: choice for {ref} occurrence {occ} names flow "
-                f"{chosen}, which does not leave that stage",
-            )
-    _enter(state, moved, flow.dst, t)
-
-
-def step(state: SimState) -> None:
-    """Advance one tick: births, awakenings, then ordinary moves."""
-    t = state.time
-    movers, state.moving = state.moving, []
-    for sid, label in state.births.pop(t, ()):
-        thing = ThingInstance(label, None, born_at=t, entered_at=t)
-        state.things.append(thing)
-        _enter(state, (len(state.things), thing), sid, t)
-    for sid in state.awakenings.pop(t, ()):
-        if sid not in state.departure:
-            continue  # the awakening lapses: nowhere to go
-        here = state.resting.get(sid, [])
-        state.resting[sid] = [p for p in here if p[1].entered_at >= t]
-        for sleeper in [p for p in here if p[1].entered_at < t]:
-            sleeper[1].resting = False
-            _move(state, sleeper, t)
-    for mover in movers:
-        _move(state, mover, t)
-    state.moving.sort()
-    state.time = t + 1
-
-
-def run(model: StaticModel, scenario: Scenario) -> Trace:
-    """Run to quiescence (or the tick cap) and return the sorted trace."""
+    default way out; stages with none are absent.
+    """
     departure = {
         sid: min(outs, key=anchor_order) for sid, outs in model.flows_from.items()
     }
-    state = SimState(model, scenario, departure)
-    state.gates = frozenset(
+    gates = {
         g.dst
         for g in model.triggers.values()
         if model.stages[g.dst].kind is not ActionKind.CREATE
-    )
+    }
+    things: list[ThingInstance] = []
+    entries: list[GenericEventInstance] = []
+    births: dict[int, list[tuple[str, str]]] = {}
+    awakenings: dict[int, list[str]] = {}
+    moving: list[tuple[int, ThingInstance]] = []
+    resting: dict[str, list[tuple[int, ThingInstance]]] = {}
+    departures: dict[str, int] = {}
+    birth_counts: dict[str, int] = {}
+
+    def enter(moved: tuple[int, ThingInstance], sid: str, t: int) -> None:
+        """Put a thing at a stage for tick t and apply the stage's effects."""
+        thing = moved[1]
+        thing.stage, thing.entered_at = sid, t
+        stage = model.stages[sid]
+        entries.append(
+            GenericEventInstance(thing.label, sid, stage.kind, TimeSubthimac(t, t + 1))
+        )
+        if stage.kind is ActionKind.PROCESS:
+            for trig in model.triggers_from.get(sid, ()):
+                target = model.stages[trig.dst]
+                if target.kind is ActionKind.CREATE:
+                    name = model.thimacs[target.owner].name
+                    n = birth_counts.get(name, 0) + 1
+                    birth_counts[name] = n
+                    births.setdefault(t + 1, []).append((trig.dst, f"{name}-{n}"))
+                else:
+                    awakenings.setdefault(t + 1, []).append(trig.dst)
+        if sid in gates or sid not in departure:
+            thing.resting = True
+            bisect.insort(resting.setdefault(sid, []), moved)
+        else:
+            moving.append(moved)
+
+    def move(moved: tuple[int, ThingInstance], t: int) -> None:
+        """Take one flow out of the thing's stage: the chosen or the default."""
+        sid = moved[1].stage
+        occ = departures.get(sid, 0)
+        departures[sid] = occ + 1
+        chosen = scenario.choices.get((sid, occ))
+        if chosen is None:
+            flow = departure[sid]
+        else:
+            flow = model.flows[chosen]
+            if flow.src != sid:
+                ref = model.stage_ref(sid)
+                raise StuckThing(
+                    t,
+                    ref,
+                    f"tick {t}: choice for {ref} occurrence {occ} names flow "
+                    f"{chosen}, which does not leave that stage",
+                )
+        enter(moved, flow.dst, t)
+
     for tick, tid, label in scenario.injections:
         create_sid = model.thimacs[tid].stages[ActionKind.CREATE]
-        state.births.setdefault(tick, []).append((create_sid, label))
-    while state.moving or state.births or state.awakenings:
-        if not state.moving:  # skip the idle ticks up to the next event
-            state.time = min([*state.births, *state.awakenings])
-        if state.time >= scenario.max_ticks:
+        births.setdefault(tick, []).append((create_sid, label))
+    t = 0
+    while moving or births or awakenings:
+        if not moving:  # skip the idle ticks up to the next event
+            t = min([*births, *awakenings])
+        if t >= scenario.max_ticks:
             break
-        step(state)
+        # one tick: births, awakenings, then ordinary moves
+        movers, moving = moving, []
+        for sid, label in births.pop(t, ()):
+            thing = ThingInstance(label, None, born_at=t, entered_at=t)
+            things.append(thing)
+            enter((len(things), thing), sid, t)
+        for sid in awakenings.pop(t, ()):
+            if sid not in departure:
+                continue  # the awakening lapses: nowhere to go
+            here = resting.get(sid, [])
+            resting[sid] = [p for p in here if p[1].entered_at >= t]
+            for sleeper in [p for p in here if p[1].entered_at < t]:
+                sleeper[1].resting = False
+                move(sleeper, t)
+        for mover in movers:
+            move(mover, t)
+        moving.sort()
+        t += 1
     # add_stage numbers ids in declaration order: this is numeric id order
     declared = {sid: n for n, sid in enumerate(model.stages)}
-    entries = tuple(
-        sorted(
-            state.entries,
-            key=lambda e: (e.time.start, declared[e.stage], e.thing),
-        )
+    ordered = tuple(
+        sorted(entries, key=lambda e: (e.time.start, declared[e.stage], e.thing))
     )
-    final = entries[-1].time.start if entries else 0
     return Trace(
-        entries=entries,
-        things={th.label: th for th in state.things},
-        final_tick=final,
-        truncated=bool(state.moving or state.births or state.awakenings),
+        entries=ordered,
+        things={th.label: th for th in things},
+        final_tick=ordered[-1].time.start if ordered else 0,
+        truncated=bool(moving or births or awakenings),
     )
 
 
@@ -365,8 +348,7 @@ def project(model: StaticModel, trace: Trace, events) -> ProjectionResult:
             uncovered[sid] = model.stage_ref(sid)
     if candidates:
         projected.append(candidates[0])
-    # stages under a dotted name can share a ref: list each ref once
-    return ProjectionResult(tuple(projected), tuple(dict.fromkeys(uncovered.values())))
+    return ProjectionResult(tuple(projected), tuple(uncovered.values()))
 
 
 @dataclass(frozen=True)
@@ -390,25 +372,11 @@ def conforms(behavior, projected, transitive: bool = False) -> ConformanceReport
     succ: dict[str, set[str]] = {}
     for a, b in behavior.edges:
         succ.setdefault(a, set()).add(b)
-
-    def reachable(a: str, b: str) -> bool:
-        seen = {a}
-        stack = [a]
-        while stack:
-            for nxt in succ.get(stack.pop(), ()):
-                if nxt == b:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
     problems: list[str] = []
     ids = [ev.id for ev in projected]
     for a, b in zip(ids, ids[1:]):
-        if b in succ.get(a, ()):
-            continue
-        if transitive and reachable(a, b):
+        after = succ.get(a, ())
+        if b in after or transitive and b in reachable(succ, after):
             continue
         problems.append(f"{a} -> {b} is not an allowed succession")
     return ConformanceReport(not problems, tuple(problems))

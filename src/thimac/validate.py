@@ -27,9 +27,6 @@ from .model import ActionKind, StaticModel, legal_successor
 
 Severity = Literal["error", "warning"]
 
-#: Decomposition roles: the party performing each generic action.
-Role = Literal["source", "sink", "agent"]
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -111,28 +108,18 @@ def validate(model: StaticModel) -> list[Diagnostic]:
         same_scope = src.owner == dst.owner or model.nesting_related(
             src.owner, dst.owner
         )
-        crossing_ok = (
-            src.kind is ActionKind.TRANSFER and dst.kind is ActionKind.TRANSFER
-        )
-        if not same_scope and not crossing_ok:
-            out.append(
-                Diagnostic(
-                    "V3",
-                    "error",
-                    flow.id,
-                    f"{model.stage_ref(flow.src)} -> {model.stage_ref(flow.dst)} "
-                    "crosses machines without a transfer pair",
-                )
+        if legal_successor(src.kind, dst.kind, same_scope):
+            continue
+        if same_scope:
+            code = "V2"
+            message = f"{src.kind.value} may not flow into {dst.kind.value} here"
+        else:  # transfer -> transfer is the only legal step across machines
+            code = "V3"
+            message = (
+                f"{model.stage_ref(flow.src)} -> {model.stage_ref(flow.dst)} "
+                "crosses machines without a transfer pair"
             )
-        elif not legal_successor(src.kind, dst.kind, same_scope):
-            out.append(
-                Diagnostic(
-                    "V2",
-                    "error",
-                    flow.id,
-                    f"{src.kind.value} may not flow into {dst.kind.value} here",
-                )
-            )
+        out.append(Diagnostic(code, "error", flow.id, message))
 
     for sid, stage in model.stages.items():
         if sid not in touched:

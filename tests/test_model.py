@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from thimac.model import (
     ActionKind,
+    DottedName,
     DuplicateKindInMachine,
     DuplicateSiblingName,
     EmptyRegion,
@@ -121,6 +122,18 @@ def test_duplicate_sibling_name():
         m.add_thimac("a", parent)
 
 
+def test_dotted_name_is_rejected_so_every_stage_keeps_its_own_ref():
+    m = new_model()
+    a = m.add_thimac("a")
+    inner = m.add_stage(m.add_thimac("b", a), ActionKind.CREATE)
+    with pytest.raises(DottedName):
+        m.add_thimac("a.b")  # its create stage would also read a.b.create
+    with pytest.raises(DottedName):
+        m.add_thimac("b.", a)
+    assert len(m.thimacs) == 2 and m.roots == [a]
+    assert m.resolve_stage_ref("a.b.create") == inner
+
+
 def test_unknown_parent_and_stage():
     m = new_model()
     with pytest.raises(UnknownParent):
@@ -225,12 +238,17 @@ def test_outgoing_flows_declaration_order():
 @st.composite
 def built_models(draw):
     """A random model built only through ``add_*``: nesting, names with and
-    without dots, aliases, anchored and unanchored flows, triggers."""
+    without dots (a dotted one is rejected), aliases, anchored and
+    unanchored flows, triggers."""
     m = new_model()
     tids: list[str] = []
     for _ in range(draw(st.integers(1, 8))):
         parent = draw(st.sampled_from([None, *tids]))
         name = draw(st.sampled_from(["a", "b", "c", "a.b", "b.c", ""]))
+        if "." in name:
+            with pytest.raises(DottedName):
+                m.add_thimac(name, parent)
+            continue
         try:
             tids.append(m.add_thimac(name, parent))
         except DuplicateSiblingName:
@@ -256,14 +274,6 @@ def built_models(draw):
     return m
 
 
-def _names_above(m, tid):
-    names = []
-    while tid is not None:
-        names.append(m.thimacs[tid].name)
-        tid = m.thimacs[tid].parent
-    return names
-
-
 @settings(max_examples=300, deadline=None)
 @given(built_models())
 def test_tables_match_a_derivation_from_the_raw_dicts(m):
@@ -283,13 +293,8 @@ def test_tables_match_a_derivation_from_the_raw_dicts(m):
             first[f.anchor] = f.id
     assert {anchor: f.id for anchor, f in m.by_anchor.items()} == first
 
-    reachable = {
-        tid for tid in m.thimacs if not any("." in n for n in _names_above(m, tid))
-    }
-    assert m.thimac_at == {m.thimac_path(tid): tid for tid in reachable}
+    assert m.thimac_at == {m.thimac_path(tid): tid for tid in m.thimacs}
     for tid in m.thimacs:
-        found = m.resolve_thimac_path(m.thimac_path(tid))
-        assert (found == tid) == (tid in reachable)
-    for sid, stage in m.stages.items():
-        if stage.owner in reachable:
-            assert m.resolve_stage_ref(m.stage_ref(sid)) == sid
+        assert m.resolve_thimac_path(m.thimac_path(tid)) == tid
+    for sid in m.stages:
+        assert m.resolve_stage_ref(m.stage_ref(sid)) == sid
