@@ -9,7 +9,8 @@ Subcommands::
     thimac export MODEL [--highlight EVENT] [--canonical]
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 semantic errors (or a stuck run, or one stopped by its tick cap),
+1 semantic errors (or a stuck run, or one stopped by its tick cap or
+its entry budget),
 2 syntax errors, 3 nonconforming trace, 4 usage.
 """
 
@@ -62,7 +63,7 @@ def _parse_file(path: str) -> ParseResult:
 
 
 def _origin_line(model: StaticModel, subject: str) -> int:
-    """Best-effort source line for a diagnostic subject."""
+    """Best-effort source line for a V diagnostic's subject."""
     for key in (
         subject,
         model.resolve_stage_ref(subject),
@@ -73,14 +74,24 @@ def _origin_line(model: StaticModel, subject: str) -> int:
     return 0
 
 
+def _behavior_line(result: ParseResult, name: str, subject: str) -> int:
+    """Source line of a B diagnostic of behavior ``name``: its event's (B2),
+    its edge's (B1) or its cycle's first edge's (B3)."""
+    a, *rest = subject.split("->")
+    return result.lines.get((name, a, rest[0]) if rest else a, 0)
+
+
 def cmd_validate(args) -> int:
     result = _parse_file(args.model)
     model = result.model
     diags = validate(model)
-    for behavior in result.behaviors.values():
-        diags.extend(events_mod.check_behavior(model, behavior))
-    for d in diags:
-        print(d.render(args.model, _origin_line(model, d.subject)), file=sys.stderr)
+    lines = [_origin_line(model, d.subject) for d in diags]
+    for name, behavior in result.behaviors.items():
+        found = events_mod.check_behavior(model, behavior)
+        diags += found
+        lines += [_behavior_line(result, name, d.subject) for d in found]
+    for d, line in zip(diags, lines):
+        print(d.render(args.model, line), file=sys.stderr)
     errors = sum(1 for d in diags if d.severity == "error")
     warnings = len(diags) - errors
     if args.json:
@@ -165,7 +176,8 @@ def cmd_behavior(args) -> int:
         for a, b in behavior.edges:
             print(f"{a} -> {b}")
     for d in events_mod.check_behavior(result.model, behavior):
-        print(d.render(args.model, 0), file=sys.stderr)
+        line = _behavior_line(result, name, d.subject)
+        print(d.render(args.model, line), file=sys.stderr)
     return 0
 
 
@@ -192,6 +204,9 @@ def cmd_simulate(args) -> int:
     else:
         for ev in projection.events:
             print(ev.name)
+    if len(trace.rows) > scenario.budget:
+        print(f"thimac: run hit the entry budget {scenario.budget}", file=sys.stderr)
+        return 1
     if trace.truncated:
         print(f"thimac: run hit the tick cap {scenario.max_ticks}", file=sys.stderr)
         return 1

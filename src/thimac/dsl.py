@@ -79,12 +79,17 @@ class ParseDiagnostic:
 
 @dataclass
 class ParseResult:
-    """Everything one document declares; ``model`` is None on any error."""
+    """Everything one document declares; ``model`` is None on any error.
+
+    ``lines`` gives the source line of each event, by id, and of each
+    behavior edge, by ``(behavior, predecessor, successor)``.
+    """
 
     model: StaticModel | None
     events: list[EventDef] = field(default_factory=list)
     behaviors: dict[str, BehaviorModel] = field(default_factory=dict)
     diagnostics: list[ParseDiagnostic] = field(default_factory=list)
+    lines: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -102,47 +107,51 @@ class _Token(NamedTuple):
         return self.value or self.kind
 
 
-# Every character starts exactly one match, so finditer covers the text.
-# A string stops before a newline; a backslash escapes only '"' and '\'.
+# Each match in a line: blanks, then a token, a bad character, a comment or
+# the line's end.  A backslash in a string escapes only '"' and '\'.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<skip>[ \t\r\n]+|\#[^\n]*)
-    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    [ \t\r]*(?:
+      (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<int>\d+)
-    | (?P<string>"(?P<body>(?:[^"\\\n]+|\\["\\]?)*)(?P<closed>")?)
+    | (?P<string>"(?P<body>(?:[^"\\]+|\\["\\]?)*)(?P<closed>")?)
     | (?P<punct>->|=>|\.\.|[{}\[\];,.])
+    | \#.* | $
     | (?P<bad>.)
+    )
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
 _ESCAPE_RE = re.compile(r'\\(["\\])')
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 def _tokenize(text: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
     toks: list[_Token] = []
     diags: list[ParseDiagnostic] = []
-    line, line_start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        kind, start = m.lastgroup, m.start()
-        column = start - line_start + 1
-        if kind == "skip":
-            last_newline = text.rfind("\n", start, m.end())
-            if last_newline >= 0:
-                line += text.count("\n", start, m.end())
-                line_start = last_newline + 1
-        elif kind == "string":
-            if m.group("closed") is None:
-                message = "unterminated string"
-                diags.append(ParseDiagnostic("error", message, line, column))
-            body = _ESCAPE_RE.sub(r"\1", m.group("body"))
-            toks.append(_Token("string", body, line, column))
-        elif kind == "bad":
-            message = f"unexpected character {m.group()!r}"
-            diags.append(ParseDiagnostic("error", message, line, column))
-        else:
-            word = m.group()
-            toks.append(_Token(word if kind == "punct" else kind, word, line, column))
-    toks.append(_Token("eof", "", line, len(text) - line_start + 1))
+    new = tuple.__new__  # skips _Token's own __new__
+    # not splitlines(): "\x0b", "\x85" and others are unexpected characters
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        for m in _TOKEN_RE.finditer(line):
+            kind = m.lastgroup
+            if kind is None:
+                continue  # a comment or the blanks ending the line
+            column = m.start(kind) + 1
+            if kind == "string":
+                if m["closed"] is None:
+                    message = "unterminated string"
+                    diags.append(ParseDiagnostic("error", message, lineno, column))
+                body = m["body"]
+                body = _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
+                toks.append(new(_Token, ("string", body, lineno, column)))
+            elif kind == "bad":
+                message = f"unexpected character {m[kind]!r}"
+                diags.append(ParseDiagnostic("error", message, lineno, column))
+            else:
+                word = m[kind]
+                tok = (word if kind == "punct" else kind, word, lineno, column)
+                toks.append(new(_Token, tok))
+    toks.append(new(_Token, ("eof", "", lineno, len(line) + 1)))
     return toks, diags
 
 
@@ -166,6 +175,7 @@ class _Parser:
         # (name, stage refs, time) and (name, [(predecessor, successor)])
         self.events: list[tuple[_Token, list[str], TimeSubthimac | None]] = []
         self.behaviors: list[tuple[_Token, list[tuple[_Token, _Token]]]] = []
+        self.lines: dict = {}  # see ParseResult.lines
 
     # -- token plumbing -------------------------------------------------
 
@@ -467,6 +477,7 @@ class _Parser:
                 self.error(str(exc), name)
                 continue
             defined[ev.id] = ev
+            self.lines[ev.id] = name.line
 
         behaviors: dict[str, BehaviorModel] = {}
         for name, edges in self.behaviors:
@@ -482,6 +493,7 @@ class _Parser:
                     self.error(f"event {pred.value!r} cannot precede itself", pred)
                 elif not unknown:
                     kept.append((pred.value, succ.value))
+                    self.lines.setdefault((name.value, *kept[-1]), pred.line)
             behaviors[name.value] = events_mod.build_behavior(defined.values(), kept)
         return list(defined.values()), behaviors
 
@@ -500,6 +512,7 @@ def parse(doc: SourceDocument | str) -> ParseResult:
         events=events,
         behaviors=behaviors,
         diagnostics=parser.diags,
+        lines=parser.lines,
     )
 
 
@@ -544,8 +557,7 @@ def _escape(text: str) -> str:
 
 def _name(text: str, entity: str) -> str:
     """``text`` if the parser reads it back as a name, else ValueError."""
-    token = _TOKEN_RE.fullmatch(text)
-    if token is None or token.lastgroup != "ident" or text in RESERVED_WORDS:
+    if not _NAME_RE.fullmatch(text) or text in RESERVED_WORDS:
         raise ValueError(f"{entity}: {text!r} cannot be written as a name")
     return text
 

@@ -59,6 +59,7 @@ _LETTERS = {
     ActionKind.TRANSFER: "T",
     ActionKind.RECEIVE: "R",
 }
+_KINDS = {kind.value: kind for kind in ActionKind}  # by name
 
 #: Canonical ordering for stages inside one machine.
 KIND_ORDER = (
@@ -362,10 +363,8 @@ class StaticModel:
         if tid is None:
             return None
         stages = self.thimacs[tid].stages
-        try:
-            return stages.get(ActionKind(last))
-        except ValueError:
-            pass
+        if last in _KINDS:
+            return stages.get(_KINDS[last])
         for sid in stages.values():
             if self.stages[sid].alias == last:
                 return sid

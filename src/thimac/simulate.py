@@ -16,13 +16,15 @@ The chronology rules, all of them:
   target wakes the things resting there — or lapses if nobody is.  The
   n-th thing born at a thimac called ``name`` is labelled ``name-n``.
 * A stage with no outgoing flow is terminal; arrivals rest for good.
-* The run ends when nothing can move any more, or at the tick cap; a
-  run the cap stopped with work pending is truncated, and
-  ``thimac simulate`` exits 1 for it.
+* The run ends when nothing can move any more, at the tick cap, or after
+  the first tick that leaves the run with more entries than its budget.
+  A run the cap stopped with work pending, or the budget stopped, is
+  truncated, and ``thimac simulate`` exits 1 for it.
 
 The engine keeps the things in motion and, per stage, the things resting
 there.  Idle ticks are skipped: with nothing in motion the clock jumps to
-the next birth or awakening.  The trace is bit-for-bit reproducible.
+the next birth or awakening.  The trace is bit-for-bit reproducible and
+kept as plain rows; ``Trace.entries`` builds entry objects on first read.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .model import ActionKind, StaticModel, anchor_order, reachable
 from .events import TimeSubthimac
@@ -67,11 +70,12 @@ class ThingInstance:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Injections, branch choices, and a tick cap for one run."""
+    """Injections, branch choices, a tick cap and an entry budget for one run."""
 
     injections: tuple[tuple[int, str, str], ...]  # (tick, thimac id, label)
     choices: dict[tuple[str, int], str]  # (stage id, departure #) -> flow id
     max_ticks: int = 1000
+    budget: int = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -86,13 +90,21 @@ class GenericEventInstance:
 
 @dataclass(frozen=True)
 class Trace:
-    """Sorted entries and each thing's end state; ``truncated`` marks a run
-    the tick cap stopped with a thing in motion or a birth or awakening due."""
+    """Sorted rows and each thing's end state; ``truncated`` marks a run
+    the tick cap stopped with a thing in motion or a birth or awakening due,
+    or one that made more entries than its budget."""
 
-    entries: tuple[GenericEventInstance, ...]
+    #: (tick, stage declaration number, thing, stage id, kind) per entry
+    rows: tuple[tuple[int, int, str, str, ActionKind], ...]
     things: dict[str, ThingInstance]
     final_tick: int
     truncated: bool = False
+
+    @cached_property
+    def entries(self) -> tuple[GenericEventInstance, ...]:
+        """The rows as entry objects, built on first read; one time per tick."""
+        times = {t: TimeSubthimac(t, t + 1) for t in {row[0] for row in self.rows}}
+        return tuple(GenericEventInstance(*r[2:], times[r[0]]) for r in self.rows)
 
 
 #: ``<name>-<n>``: the label of the n-th thing born at a create stage of
@@ -110,6 +122,7 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
         inject <tick> <thimac-path> <label>
         choose <stage-ref> <occurrence> <flow-anchor-or-id>
         max <ticks>
+        budget <entries>
 
     An inject label may not be one a trigger-born thing could get:
     ``<name>-<n>`` where ``<name>`` owns the create stage of a trigger.
@@ -117,7 +130,7 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
     injections: list[tuple[int, str, str]] = []
     labels: set[str] = set()
     choices: dict[tuple[str, int], str] = {}
-    max_ticks = 1000
+    max_ticks, budget = 1000, None
     birth_names = {  # the owners of the create stages triggers lead to
         model.thimacs[target.owner].name
         for target in (model.stages[g.dst] for g in model.triggers.values())
@@ -179,13 +192,20 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
             if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) < 1:
                 raise ScenarioError("expected: max <ticks>", lineno)
             max_ticks = int(toks[1])
+        elif word == "budget":
+            if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) < 1:
+                raise ScenarioError("expected: budget <entries>", lineno)
+            if budget is not None:
+                raise ScenarioError("duplicate budget", lineno)
+            budget = int(toks[1])
         else:
             raise ScenarioError(f"unknown directive {word!r}", lineno)
-    return Scenario(tuple(injections), choices, max_ticks)
+    return Scenario(tuple(injections), choices, max_ticks, budget or Scenario.budget)
 
 
 def run(model: StaticModel, scenario: Scenario) -> Trace:
-    """Run to quiescence (or the tick cap) and return the sorted trace.
+    """Run to quiescence (or the tick cap, or past the entry budget) and
+    return the sorted trace.
 
     ``moving`` and each stage's ``resting`` list hold (creation number,
     thing) pairs in creation order, the order things move in, which fixes
@@ -200,8 +220,10 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
         for g in model.triggers.values()
         if model.stages[g.dst].kind is not ActionKind.CREATE
     }
+    # add_stage numbers ids in declaration order: this is numeric id order
+    declared = {sid: n for n, sid in enumerate(model.stages)}
     things: list[ThingInstance] = []
-    entries: list[GenericEventInstance] = []
+    rows: list[tuple[int, int, str, str, ActionKind]] = []
     births: dict[int, list[tuple[str, str]]] = {}
     awakenings: dict[int, list[str]] = {}
     moving: list[tuple[int, ThingInstance]] = []
@@ -214,9 +236,7 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
         thing = moved[1]
         thing.stage, thing.entered_at = sid, t
         stage = model.stages[sid]
-        entries.append(
-            GenericEventInstance(thing.label, sid, stage.kind, TimeSubthimac(t, t + 1))
-        )
+        rows.append((t, declared[sid], thing.label, sid, stage.kind))
         if stage.kind is ActionKind.PROCESS:
             for trig in model.triggers_from.get(sid, ()):
                 target = model.stages[trig.dst]
@@ -280,26 +300,24 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
             move(mover, t)
         moving.sort()
         t += 1
-    # add_stage numbers ids in declaration order: this is numeric id order
-    declared = {sid: n for n, sid in enumerate(model.stages)}
-    ordered = tuple(
-        sorted(entries, key=lambda e: (e.time.start, declared[e.stage], e.thing))
-    )
+        if len(rows) > scenario.budget:
+            break
+    rows.sort()  # (tick, thing) is unique, so no two rows compare a kind
     return Trace(
-        entries=ordered,
+        rows=tuple(rows),
         things={th.label: th for th in things},
-        final_tick=ordered[-1].time.start if ordered else 0,
-        truncated=bool(moving or births or awakenings),
+        final_tick=rows[-1][0] if rows else 0,
+        truncated=bool(moving or births or awakenings) or len(rows) > scenario.budget,
     )
 
 
 def render_trace(model: StaticModel, trace: Trace) -> str:
     """One line per entry: ``<tick> <thing> <stage-ref> <kind>``."""
-    refs = {sid: model.stage_ref(sid) for sid in {e.stage for e in trace.entries}}
-    return "\n".join(
-        f"{e.time.start} {e.thing} {refs[e.stage]} {e.kind.value}"
-        for e in trace.entries
-    )
+    ends = {  # "<stage-ref> <kind>", once per stage
+        sid: f"{model.stage_ref(sid)} {model.stages[sid].kind.value}"
+        for sid in {row[3] for row in trace.rows}
+    }
+    return "\n".join(f"{t} {thing} {ends[sid]}" for t, _, thing, sid, _ in trace.rows)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +350,8 @@ def project(model: StaticModel, trace: Trace, events) -> ProjectionResult:
     projected = []
     uncovered: dict[str, str] = {}  # stage id -> its ref
     candidates: list = []
-    for entry in trace.entries:
-        sid = entry.stage
+    for row in trace.rows:
+        sid = row[3]
         if candidates:
             narrowed = [ev for ev in candidates if sid in ev.region]
             if narrowed:

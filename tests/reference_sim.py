@@ -165,7 +165,7 @@ def run(model: StaticModel, scenario: Scenario, budget: int | None = None) -> Tr
     )
     final = entries[-1].time.start if entries else 0
     return Trace(
-        entries=entries,
+        rows=tuple((e.time.start, declared[e.stage], e.thing, e.stage, e.kind) for e in entries),
         things={th.label: th for th in state.things},
         final_tick=final,
         truncated=_has_pending(state),

@@ -6,7 +6,7 @@ import re
 import pytest
 
 from thimac import cli as cli_mod
-from thimac.dsl import serialize
+from thimac.dsl import parse, serialize
 
 LIB = "corpus/library.tm"
 TOAST = "corpus/toast.tm"
@@ -193,6 +193,36 @@ def test_behavior_without_any_declared_exits_four(cli, tmp_path):
     assert "no single behavior" in r.stderr
 
 
+#: Thimac a gets id t1, the name of an event declared on line 5.
+B_LINES = (
+    "thimac a { create; process; }\n"
+    "flow a.create -> a.process;\n"
+    "event e2 { region [a.create] }\n"
+    "\n"
+    "event t1 { region [a.process] }\n"
+    "behavior main {\n"
+    "  e2 -> t1;\n"
+    "  t1 -> e2;\n"
+    "  e2 -> t1;\n"
+    "}\n"
+)
+
+
+@pytest.mark.parametrize("command", ["validate", "behavior"])
+def test_behavior_diagnostics_name_their_source_lines(cli, tmp_path, command):
+    assert "t1" in parse(B_LINES).model.thimacs
+    f = tmp_path / "c.tm"
+    f.write_text(B_LINES)
+    r = cli(command, str(f))
+    assert r.returncode == 0
+    assert [line.split(" - ")[0] for line in r.stderr.splitlines()] == [
+        f"B1 warning {f}:8 t1->e2",  # the edge
+        f"B2 warning {f}:3 e2",  # the event's declaration
+        f"B2 warning {f}:5 t1",
+        f"B3 warning {f}:7 e2->t1->e2",  # the cycle's first edge
+    ]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -256,6 +286,22 @@ def test_simulate_stuck_run_exits_one(cli, tmp_path):
     r = cli("simulate", LIB, str(s))
     assert r.returncode == 1
     assert "does not leave that stage" in r.stderr
+
+
+def test_simulate_entry_budget_exits_one(cli, tmp_path):
+    f = tmp_path / "multiplying.tm"
+    f.write_text(
+        "thimac a { create; process; }\n"
+        "flow a.create -> a.process;\n"
+        "trigger a.process => a.create;\n"
+        "trigger a.process => a.create;\n"
+    )
+    s = tmp_path / "one.scn"
+    s.write_text("inject 0 a p0\nbudget 1000\n")
+    r = cli("simulate", str(f), str(s), "--trace")
+    assert r.returncode == 1
+    assert len(r.stdout.splitlines()) == 1022
+    assert r.stderr.splitlines()[-1] == "thimac: run hit the entry budget 1000"
 
 
 def test_simulate_tick_cap_exits_one_without_a_verdict(cli, tmp_path):

@@ -2,6 +2,8 @@
 
 import pytest
 
+import reference_sim
+from thimac.dsl import parse
 from thimac.events import EventDef, TimeSubthimac
 from thimac.model import ActionKind, new_model
 from thimac.simulate import (
@@ -61,6 +63,11 @@ def test_empty_scenario_defaults(library):
             2,
             "duplicate inject label",
         ),
+        ("budget 0", 1, "expected: budget <entries>"),
+        ("budget ²", 1, "expected: budget <entries>"),
+        ("budget many", 1, "expected: budget <entries>"),
+        ("budget 5 6", 1, "expected: budget <entries>"),
+        ("budget 10\n# again\nbudget 20", 3, "duplicate budget"),
     ],
 )
 def test_scenario_errors_carry_line_numbers(library, text, lineno, needle):
@@ -393,3 +400,50 @@ def test_empty_scenario_runs_to_an_empty_trace(take):
     assert trace.entries == ()
     assert trace.final_tick == 0
     assert trace.things == {}
+
+
+def test_the_cli_path_reads_rows_and_builds_no_entry(library, corpus_dir):
+    m = library.model
+    trace = run(m, load_scenario(m, scn(corpus_dir, "add_new_book.scn")))
+    proj = project(m, trace, library.events)
+    printed = render_trace(m, trace).splitlines()
+    assert conforms(library.behaviors["library"], proj.events).ok
+    assert "entries" not in vars(trace)
+    rebuilt = entry_tuples(m, trace)
+    assert [f"{t} {thing} {ref} {kind.value}" for t, thing, ref, kind in rebuilt] == printed
+    assert "entries" in vars(trace)  # built once, then kept
+    assert all(e.time == TimeSubthimac(e.time.start, e.time.start + 1) for e in trace.entries)
+
+
+# ---------------------------------------------------------------------------
+# the entry budget
+
+#: births that feed births: each arrival at a.process births two things
+MULTIPLYING = (
+    "thimac a { create; process; }\n"
+    "flow a.create -> a.process;\n"
+    "trigger a.process => a.create;\n"
+    "trigger a.process => a.create;\n"
+)
+
+
+def test_budget_stops_births_that_feed_births_as_the_reference_engine_does():
+    m = parse(MULTIPLYING).model
+    scenario = load_scenario(m, "inject 0 a p0\nbudget 1000\n")
+    trace = run(m, scenario)
+    with pytest.raises(reference_sim.OverBudget) as over:
+        reference_sim.run(m, scenario, budget=1000)
+    assert trace.truncated
+    assert len(trace.rows) == over.value.args[0] == 1022  # checked once a tick
+    capped = run(m, load_scenario(m, f"inject 0 a p0\nmax {trace.final_tick + 1}\n"))
+    assert capped.rows == trace.rows
+
+
+def test_a_run_that_ends_within_its_budget_is_not_truncated(toast, corpus_dir):
+    m = toast.model
+    text = scn(corpus_dir, "toast.scn")
+    whole = run(m, load_scenario(m, text))
+    assert load_scenario(m, text).budget == 1_000_000
+    exact = run(m, load_scenario(m, f"{text}\nbudget {len(whole.rows)}\n"))
+    assert not exact.truncated and exact.rows == whole.rows
+    assert run(m, load_scenario(m, f"{text}\nbudget {len(whole.rows) - 1}\n")).truncated
