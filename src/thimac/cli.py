@@ -10,7 +10,7 @@ Subcommands::
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 semantic errors (or a stuck run, or one stopped by its tick cap or
-its entry budget),
+the entry budget),
 2 syntax errors, 3 nonconforming trace, 4 usage.
 """
 
@@ -19,9 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import events as events_mod
+from . import simulate as simulate_mod
 from . import __version__
 from .dsl import ParseResult, SourceDocument, emit_behavior_dot, emit_dot
 from .dsl import parse, serialize
@@ -74,24 +76,24 @@ def _origin_line(model: StaticModel, subject: str) -> int:
     return 0
 
 
-def _behavior_line(result: ParseResult, name: str, subject: str) -> int:
-    """Source line of a B diagnostic of behavior ``name``: its event's (B2),
-    its edge's (B1) or its cycle's first edge's (B3)."""
-    a, *rest = subject.split("->")
-    return result.lines.get((name, a, rest[0]) if rest else a, 0)
+def _check_behavior(result: ParseResult, name: str):
+    """B diagnostics of behavior ``name``, each with its source line."""
+    return events_mod.check_behavior(
+        result.model,
+        result.behaviors[name],
+        result.event_lines,
+        result.edge_lines[name],
+    )
 
 
 def cmd_validate(args) -> int:
     result = _parse_file(args.model)
     model = result.model
-    diags = validate(model)
-    lines = [_origin_line(model, d.subject) for d in diags]
-    for name, behavior in result.behaviors.items():
-        found = events_mod.check_behavior(model, behavior)
-        diags += found
-        lines += [_behavior_line(result, name, d.subject) for d in found]
-    for d, line in zip(diags, lines):
-        print(d.render(args.model, line), file=sys.stderr)
+    diags = [replace(d, line=_origin_line(model, d.subject)) for d in validate(model)]
+    for name in result.behaviors:
+        diags += _check_behavior(result, name)
+    for d in diags:
+        print(d.render(args.model), file=sys.stderr)
     errors = sum(1 for d in diags if d.severity == "error")
     warnings = len(diags) - errors
     if args.json:
@@ -175,9 +177,8 @@ def cmd_behavior(args) -> int:
     else:
         for a, b in behavior.edges:
             print(f"{a} -> {b}")
-    for d in events_mod.check_behavior(result.model, behavior):
-        line = _behavior_line(result, name, d.subject)
-        print(d.render(args.model, line), file=sys.stderr)
+    for d in _check_behavior(result, name):
+        print(d.render(args.model), file=sys.stderr)
     return 0
 
 
@@ -204,8 +205,9 @@ def cmd_simulate(args) -> int:
     else:
         for ev in projection.events:
             print(ev.name)
-    if len(trace.rows) > scenario.budget:
-        print(f"thimac: run hit the entry budget {scenario.budget}", file=sys.stderr)
+    budget = simulate_mod.ENTRY_BUDGET
+    if len(trace.rows) > budget:
+        print(f"thimac: run hit the entry budget {budget}", file=sys.stderr)
         return 1
     if trace.truncated:
         print(f"thimac: run hit the tick cap {scenario.max_ticks}", file=sys.stderr)

@@ -81,15 +81,17 @@ class ParseDiagnostic:
 class ParseResult:
     """Everything one document declares; ``model`` is None on any error.
 
-    ``lines`` gives the source line of each event, by id, and of each
-    behavior edge, by ``(behavior, predecessor, successor)``.
+    ``event_lines`` gives each event's declaration line, by id;
+    ``edge_lines`` each behavior's edges' lines, by behavior name, then
+    ``(predecessor, successor)``.
     """
 
     model: StaticModel | None
     events: list[EventDef] = field(default_factory=list)
     behaviors: dict[str, BehaviorModel] = field(default_factory=dict)
     diagnostics: list[ParseDiagnostic] = field(default_factory=list)
-    lines: dict = field(default_factory=dict)
+    event_lines: dict[str, int] = field(default_factory=dict)
+    edge_lines: dict[str, dict[tuple[str, str], int]] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -175,7 +177,9 @@ class _Parser:
         # (name, stage refs, time) and (name, [(predecessor, successor)])
         self.events: list[tuple[_Token, list[str], TimeSubthimac | None]] = []
         self.behaviors: list[tuple[_Token, list[tuple[_Token, _Token]]]] = []
-        self.lines: dict = {}  # see ParseResult.lines
+        # see ParseResult.event_lines and .edge_lines
+        self.event_lines: dict[str, int] = {}
+        self.edge_lines: dict[str, dict[tuple[str, str], int]] = {}
 
     # -- token plumbing -------------------------------------------------
 
@@ -477,7 +481,7 @@ class _Parser:
                 self.error(str(exc), name)
                 continue
             defined[ev.id] = ev
-            self.lines[ev.id] = name.line
+            self.event_lines[ev.id] = name.line
 
         behaviors: dict[str, BehaviorModel] = {}
         for name, edges in self.behaviors:
@@ -485,6 +489,7 @@ class _Parser:
                 self.error(f"behavior {name.value!r} is already declared", name)
                 continue
             kept: list[tuple[str, str]] = []
+            lines = self.edge_lines[name.value] = {}
             for pred, succ in edges:
                 unknown = [e for e in (pred.value, succ.value) if e not in defined]
                 for end in unknown:
@@ -493,7 +498,7 @@ class _Parser:
                     self.error(f"event {pred.value!r} cannot precede itself", pred)
                 elif not unknown:
                     kept.append((pred.value, succ.value))
-                    self.lines.setdefault((name.value, *kept[-1]), pred.line)
+                    lines.setdefault(kept[-1], pred.line)
             behaviors[name.value] = events_mod.build_behavior(defined.values(), kept)
         return list(defined.values()), behaviors
 
@@ -512,7 +517,8 @@ def parse(doc: SourceDocument | str) -> ParseResult:
         events=events,
         behaviors=behaviors,
         diagnostics=parser.diags,
-        lines=parser.lines,
+        event_lines=parser.event_lines,
+        edge_lines=parser.edge_lines,
     )
 
 

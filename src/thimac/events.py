@@ -255,7 +255,12 @@ def build_behavior(events, edges) -> BehaviorModel:
     return BehaviorModel(events=by_id, edges=tuple(out))
 
 
-def check_behavior(model: StaticModel, behavior: BehaviorModel) -> list[Diagnostic]:
+def check_behavior(
+    model: StaticModel,
+    behavior: BehaviorModel,
+    event_lines: dict[str, int] | None = None,
+    edge_lines: dict[tuple[str, str], int] | None = None,
+) -> list[Diagnostic]:
     """Audit a chronology against its static model.
 
     B1 (warning): a precedence edge with no flow or trigger from the
@@ -264,7 +269,12 @@ def check_behavior(model: StaticModel, behavior: BehaviorModel) -> list[Diagnost
     has predecessors none and successors some; isolated events qualify
     as unreachable).
     B3 (warning): the precedence graph contains a cycle.
+
+    Given the source lines of the events and edges, B2 carries its event's
+    line, B1 its edge's and B3 its cycle's first edge's; otherwise 0.
     """
+    event_lines = event_lines or {}
+    edge_lines = edge_lines or {}
     out: list[Diagnostic] = []
     regions = {eid: ev.region for eid, ev in behavior.events.items()}
 
@@ -279,6 +289,7 @@ def check_behavior(model: StaticModel, behavior: BehaviorModel) -> list[Diagnost
                     f"{a}->{b}",
                     "no flow or trigger leaves the predecessor region into "
                     "the successor region",
+                    edge_lines.get((a, b), 0),
                 )
             )
 
@@ -291,7 +302,11 @@ def check_behavior(model: StaticModel, behavior: BehaviorModel) -> list[Diagnost
     for eid in sorted(set(behavior.events) - reachable(succ, sources)):
         out.append(
             Diagnostic(
-                "B2", "warning", eid, "event is unreachable from any source event"
+                "B2",
+                "warning",
+                eid,
+                "event is unreachable from any source event",
+                event_lines.get(eid, 0),
             )
         )
 
@@ -303,6 +318,7 @@ def check_behavior(model: StaticModel, behavior: BehaviorModel) -> list[Diagnost
                 "warning",
                 "->".join(cycle),
                 "chronology contains a precedence cycle",
+                edge_lines.get((cycle[0], cycle[1]), 0),
             )
         )
     out.sort(key=lambda d: (d.code, d.subject))

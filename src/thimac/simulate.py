@@ -17,9 +17,9 @@ The chronology rules, all of them:
   n-th thing born at a thimac called ``name`` is labelled ``name-n``.
 * A stage with no outgoing flow is terminal; arrivals rest for good.
 * The run ends when nothing can move any more, at the tick cap, or after
-  the first tick that leaves the run with more entries than its budget.
-  A run the cap stopped with work pending, or the budget stopped, is
-  truncated, and ``thimac simulate`` exits 1 for it.
+  the first tick that leaves the run with more than ``ENTRY_BUDGET``
+  entries.  A run the cap stopped with work pending, or the budget
+  stopped, is truncated, and ``thimac simulate`` exits 1 for it.
 
 The engine keeps the things in motion and, per stage, the things resting
 there.  Idle ticks are skipped: with nothing in motion the clock jumps to
@@ -36,6 +36,11 @@ from functools import cached_property
 
 from .model import ActionKind, StaticModel, anchor_order, reachable
 from .events import TimeSubthimac
+
+
+#: a run stops after the first tick that leaves it with more entries than
+#: this: births that feed births would otherwise grow without bound
+ENTRY_BUDGET = 1_000_000
 
 
 class SimulationError(Exception):
@@ -70,12 +75,11 @@ class ThingInstance:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Injections, branch choices, a tick cap and an entry budget for one run."""
+    """Injections, branch choices, and a tick cap for one run."""
 
     injections: tuple[tuple[int, str, str], ...]  # (tick, thimac id, label)
     choices: dict[tuple[str, int], str]  # (stage id, departure #) -> flow id
     max_ticks: int = 1000
-    budget: int = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -92,7 +96,7 @@ class GenericEventInstance:
 class Trace:
     """Sorted rows and each thing's end state; ``truncated`` marks a run
     the tick cap stopped with a thing in motion or a birth or awakening due,
-    or one that made more entries than its budget."""
+    or one that made more than ``ENTRY_BUDGET`` entries."""
 
     #: (tick, stage declaration number, thing, stage id, kind) per entry
     rows: tuple[tuple[int, int, str, str, ActionKind], ...]
@@ -122,7 +126,6 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
         inject <tick> <thimac-path> <label>
         choose <stage-ref> <occurrence> <flow-anchor-or-id>
         max <ticks>
-        budget <entries>
 
     An inject label may not be one a trigger-born thing could get:
     ``<name>-<n>`` where ``<name>`` owns the create stage of a trigger.
@@ -130,7 +133,7 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
     injections: list[tuple[int, str, str]] = []
     labels: set[str] = set()
     choices: dict[tuple[str, int], str] = {}
-    max_ticks, budget = 1000, None
+    max_ticks = 1000
     birth_names = {  # the owners of the create stages triggers lead to
         model.thimacs[target.owner].name
         for target in (model.stages[g.dst] for g in model.triggers.values())
@@ -192,15 +195,9 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
             if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) < 1:
                 raise ScenarioError("expected: max <ticks>", lineno)
             max_ticks = int(toks[1])
-        elif word == "budget":
-            if len(toks) != 2 or not toks[1].isdecimal() or int(toks[1]) < 1:
-                raise ScenarioError("expected: budget <entries>", lineno)
-            if budget is not None:
-                raise ScenarioError("duplicate budget", lineno)
-            budget = int(toks[1])
         else:
             raise ScenarioError(f"unknown directive {word!r}", lineno)
-    return Scenario(tuple(injections), choices, max_ticks, budget or Scenario.budget)
+    return Scenario(tuple(injections), choices, max_ticks)
 
 
 def run(model: StaticModel, scenario: Scenario) -> Trace:
@@ -300,14 +297,14 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
             move(mover, t)
         moving.sort()
         t += 1
-        if len(rows) > scenario.budget:
+        if len(rows) > ENTRY_BUDGET:
             break
     rows.sort()  # (tick, thing) is unique, so no two rows compare a kind
     return Trace(
         rows=tuple(rows),
         things={th.label: th for th in things},
         final_tick=rows[-1][0] if rows else 0,
-        truncated=bool(moving or births or awakenings) or len(rows) > scenario.budget,
+        truncated=bool(moving or births or awakenings) or len(rows) > ENTRY_BUDGET,
     )
 
 

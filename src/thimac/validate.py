@@ -30,14 +30,17 @@ Severity = Literal["error", "warning"]
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One finding; ``subject`` names the offending entity."""
+    """One finding; ``subject`` names the offending entity and ``line``
+    its source line, 0 when unknown."""
 
     code: str
     severity: Severity
     subject: str
     message: str
+    line: int = 0
 
-    def render(self, path: str = "<model>", line: int = 0) -> str:
+    def render(self, path: str = "<model>", line: int | None = None) -> str:
+        line = self.line if line is None else line
         return (
             f"{self.code} {self.severity} {path}:{line} {self.subject} "
             f"- {self.message}"

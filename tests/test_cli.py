@@ -6,6 +6,7 @@ import re
 import pytest
 
 from thimac import cli as cli_mod
+from thimac import simulate
 from thimac.dsl import parse, serialize
 
 LIB = "corpus/library.tm"
@@ -288,7 +289,8 @@ def test_simulate_stuck_run_exits_one(cli, tmp_path):
     assert "does not leave that stage" in r.stderr
 
 
-def test_simulate_entry_budget_exits_one(cli, tmp_path):
+def test_simulate_entry_budget_exits_one(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(simulate, "ENTRY_BUDGET", 1000)
     f = tmp_path / "multiplying.tm"
     f.write_text(
         "thimac a { create; process; }\n"
@@ -297,11 +299,11 @@ def test_simulate_entry_budget_exits_one(cli, tmp_path):
         "trigger a.process => a.create;\n"
     )
     s = tmp_path / "one.scn"
-    s.write_text("inject 0 a p0\nbudget 1000\n")
-    r = cli("simulate", str(f), str(s), "--trace")
-    assert r.returncode == 1
-    assert len(r.stdout.splitlines()) == 1022
-    assert r.stderr.splitlines()[-1] == "thimac: run hit the entry budget 1000"
+    s.write_text("inject 0 a p0\n")
+    assert cli_mod.main(["simulate", str(f), str(s), "--trace"]) == 1
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 1022
+    assert err.splitlines()[-1] == "thimac: run hit the entry budget 1000"
 
 
 def test_simulate_tick_cap_exits_one_without_a_verdict(cli, tmp_path):

@@ -3,6 +3,7 @@
 import pytest
 
 import reference_sim
+from thimac import simulate
 from thimac.dsl import parse
 from thimac.events import EventDef, TimeSubthimac
 from thimac.model import ActionKind, new_model
@@ -63,11 +64,6 @@ def test_empty_scenario_defaults(library):
             2,
             "duplicate inject label",
         ),
-        ("budget 0", 1, "expected: budget <entries>"),
-        ("budget ²", 1, "expected: budget <entries>"),
-        ("budget many", 1, "expected: budget <entries>"),
-        ("budget 5 6", 1, "expected: budget <entries>"),
-        ("budget 10\n# again\nbudget 20", 3, "duplicate budget"),
     ],
 )
 def test_scenario_errors_carry_line_numbers(library, text, lineno, needle):
@@ -427,9 +423,12 @@ MULTIPLYING = (
 )
 
 
-def test_budget_stops_births_that_feed_births_as_the_reference_engine_does():
+def test_budget_stops_births_that_feed_births_as_the_reference_engine_does(
+    monkeypatch,
+):
+    monkeypatch.setattr(simulate, "ENTRY_BUDGET", 1000)
     m = parse(MULTIPLYING).model
-    scenario = load_scenario(m, "inject 0 a p0\nbudget 1000\n")
+    scenario = load_scenario(m, "inject 0 a p0\n")
     trace = run(m, scenario)
     with pytest.raises(reference_sim.OverBudget) as over:
         reference_sim.run(m, scenario, budget=1000)
@@ -439,11 +438,15 @@ def test_budget_stops_births_that_feed_births_as_the_reference_engine_does():
     assert capped.rows == trace.rows
 
 
-def test_a_run_that_ends_within_its_budget_is_not_truncated(toast, corpus_dir):
+def test_a_run_that_ends_within_its_budget_is_not_truncated(
+    toast, corpus_dir, monkeypatch
+):
     m = toast.model
-    text = scn(corpus_dir, "toast.scn")
-    whole = run(m, load_scenario(m, text))
-    assert load_scenario(m, text).budget == 1_000_000
-    exact = run(m, load_scenario(m, f"{text}\nbudget {len(whole.rows)}\n"))
+    scenario = load_scenario(m, scn(corpus_dir, "toast.scn"))
+    whole = run(m, scenario)
+    assert simulate.ENTRY_BUDGET == 1_000_000 and not whole.truncated
+    monkeypatch.setattr(simulate, "ENTRY_BUDGET", len(whole.rows))
+    exact = run(m, scenario)
     assert not exact.truncated and exact.rows == whole.rows
-    assert run(m, load_scenario(m, f"{text}\nbudget {len(whole.rows) - 1}\n")).truncated
+    monkeypatch.setattr(simulate, "ENTRY_BUDGET", len(whole.rows) - 1)
+    assert run(m, scenario).truncated
