@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import events as events_mod
@@ -27,7 +27,6 @@ from . import simulate as simulate_mod
 from . import __version__
 from .dsl import ParseResult, SourceDocument, emit_behavior_dot, emit_dot
 from .dsl import parse, serialize
-from .model import StaticModel
 from .simulate import (
     ScenarioError,
     SimulationError,
@@ -64,18 +63,6 @@ def _parse_file(path: str) -> ParseResult:
     return result
 
 
-def _origin_line(model: StaticModel, subject: str) -> int:
-    """Best-effort source line for a V diagnostic's subject."""
-    for key in (
-        subject,
-        model.resolve_stage_ref(subject),
-        model.resolve_thimac_path(subject),
-    ):
-        if key is not None and key in model.origin:
-            return model.origin[key][0]
-    return 0
-
-
 def _check_behavior(result: ParseResult, name: str):
     """B diagnostics of behavior ``name``, each with its source line."""
     return events_mod.check_behavior(
@@ -88,8 +75,7 @@ def _check_behavior(result: ParseResult, name: str):
 
 def cmd_validate(args) -> int:
     result = _parse_file(args.model)
-    model = result.model
-    diags = [replace(d, line=_origin_line(model, d.subject)) for d in validate(model)]
+    diags = validate(result.model)
     for name in result.behaviors:
         diags += _check_behavior(result, name)
     for d in diags:
@@ -97,16 +83,7 @@ def cmd_validate(args) -> int:
     errors = sum(1 for d in diags if d.severity == "error")
     warnings = len(diags) - errors
     if args.json:
-        payload = [
-            {
-                "code": d.code,
-                "severity": d.severity,
-                "subject": d.subject,
-                "message": d.message,
-            }
-            for d in diags
-        ]
-        print(json.dumps(payload, indent=2))
+        print(json.dumps([asdict(d) for d in diags], indent=2))
     else:
         print(f"{errors} error(s), {warnings} warning(s)")
     return 1 if errors else 0

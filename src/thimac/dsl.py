@@ -530,21 +530,17 @@ def _nesting(model: StaticModel):
     """Walk the nesting forest depth-first, children in declaration order.
 
     Yields ``(tid, depth, True)`` where a thimac's block opens and
-    ``(tid, depth, False)`` where it closes.  Depth comes from the children
-    lists, and the walk keeps its own stack, so nesting depth is unbounded.
+    ``(tid, depth, False)`` where it closes.  The walk keeps its own
+    stack, so nesting depth is unbounded.
     """
-    depth: dict[str, int] = {}
-    open_blocks: list[str] = []
-    for tid in model.iter_thimacs_depth_first():
-        level = depth.get(tid, 0)
-        while len(open_blocks) > level:
-            yield open_blocks.pop(), len(open_blocks), False
-        yield tid, level, True
-        open_blocks.append(tid)
-        for child in model.thimacs[tid].children:
-            depth[child] = level + 1
-    while open_blocks:
-        yield open_blocks.pop(), len(open_blocks), False
+    stack = [(tid, 0, True) for tid in reversed(model.roots)]
+    while stack:
+        tid, depth, opening = stack.pop()
+        yield tid, depth, opening
+        if opening:
+            stack.append((tid, depth, False))
+            children = model.thimacs[tid].children
+            stack += [(child, depth + 1, True) for child in reversed(children)]
 
 
 def _stages_in_kind_order(model: StaticModel, tid: str):

@@ -16,11 +16,12 @@ calling the ``add_*`` methods.
 
 Besides the raw dicts a model keeps the lookup tables every layer reads:
 the flows and triggers leaving each stage, anchor -> flow, and dotted
-path -> thimac.  Only the ``add_*`` methods write the raw dicts and the
-tables alike, so a model built through them never holds a stale table.
-Code that edits the raw dicts directly gets a model whose tables no
-longer match; :func:`thimac.validate.validate` audits such models from
-the raw dicts alone and reads no table.
+path -> thimac with its inverse, from which paths and nesting are read.
+Only the ``add_*`` methods write the raw dicts and the tables alike, so
+a model built through them never holds a stale table.  Code that edits
+the raw dicts directly gets a model whose tables no longer match;
+:func:`thimac.validate.validate` audits its stages, flows, triggers and
+parent links from the raw dicts.
 """
 
 from __future__ import annotations
@@ -247,20 +248,15 @@ class StaticModel:
             raise UnknownParent(f"unknown parent thimac {parent!r}")
         if "." in name:
             raise DottedName(f"thimac name {name!r} may not hold a dot")
-        siblings = self.roots if parent is None else self.thimacs[parent].children
-        for sib in siblings:
-            if self.thimacs[sib].name == name:
-                raise DuplicateSiblingName(
-                    f"thimac name {name!r} already used at this level"
-                )
+        path = name if parent is None else f"{self._path_of[parent]}.{name}"
+        if path in self.thimac_at:
+            raise DuplicateSiblingName(f"thimac name {name!r} already used at this level")
         tid = self._next_id("t")
         self.thimacs[tid] = Thimac(id=tid, name=name, parent=parent)
-        path = name
         if parent is None:
             self.roots.append(tid)
         else:
             self.thimacs[parent].children.append(tid)
-            path = f"{self._path_of[parent]}.{name}"
         self.thimac_at[path] = tid
         self._path_of[tid] = path
         return tid
@@ -322,14 +318,8 @@ class StaticModel:
 
     def is_ancestor(self, ancestor: str, descendant: str) -> bool:
         """True iff ``ancestor`` encloses ``descendant`` (any depth)."""
-        seen = set()
-        cur = self.thimacs[descendant].parent
-        while cur is not None and cur not in seen:
-            if cur == ancestor:
-                return True
-            seen.add(cur)
-            cur = self.thimacs[cur].parent
-        return False
+        # names hold no dot, so a path's dots mark exactly its levels
+        return self._path_of[descendant].startswith(self._path_of[ancestor] + ".")
 
     def nesting_related(self, a: str, b: str) -> bool:
         """True iff one thimac is nested (at any depth) inside the other."""
@@ -337,15 +327,7 @@ class StaticModel:
 
     def thimac_path(self, thimac_id: str) -> str:
         """Dotted root-to-thimac name path, e.g. ``librarian.request``."""
-        parts: list[str] = []
-        seen = set()
-        cur: str | None = thimac_id
-        while cur is not None and cur not in seen:
-            seen.add(cur)
-            t = self.thimacs[cur]
-            parts.append(t.name)
-            cur = t.parent
-        return ".".join(reversed(parts))
+        return self._path_of[thimac_id]
 
     def stage_ref(self, stage_id: str) -> str:
         """Dotted reference ending in the stage's kind keyword."""
@@ -369,14 +351,6 @@ class StaticModel:
             if self.stages[sid].alias == last:
                 return sid
         return None
-
-    def iter_thimacs_depth_first(self):
-        """Yield thimac ids, roots first, children in declaration order."""
-        stack = list(reversed(self.roots))
-        while stack:
-            tid = stack.pop()
-            yield tid
-            stack.extend(reversed(self.thimacs[tid].children))
 
     # -- regions -------------------------------------------------------
 

@@ -119,7 +119,7 @@ _BIRTH_LABEL = re.compile(r"(.*)-[1-9][0-9]*")
 def load_scenario(model: StaticModel, text: str) -> Scenario:
     """Parse scenario text.
 
-    Directives, one per line (# comments allowed):
+    Directives, one per ``"\\n"``-ended line (# comments allowed):
 
     .. code-block:: text
 
@@ -139,7 +139,7 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
         for target in (model.stages[g.dst] for g in model.triggers.values())
         if target.kind is ActionKind.CREATE
     }
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -2,7 +2,8 @@
 
 The validator re-derives every rule the constructive API enforces (so that
 hand-built or deserialized models can be audited), plus the diagram-level
-rules that no single ``add_*`` call can see.  Diagnostic codes are stable:
+rules that no single ``add_*`` call can see.  Each finding carries its
+entity's source line from ``model.origin``.  Diagnostic codes are stable:
 
 =====  ========  ====================================================
 code   severity  meaning
@@ -39,10 +40,9 @@ class Diagnostic:
     message: str
     line: int = 0
 
-    def render(self, path: str = "<model>", line: int | None = None) -> str:
-        line = self.line if line is None else line
+    def render(self, path: str = "<model>") -> str:
         return (
-            f"{self.code} {self.severity} {path}:{line} {self.subject} "
+            f"{self.code} {self.severity} {path}:{self.line} {self.subject} "
             f"- {self.message}"
         )
 
@@ -50,10 +50,14 @@ class Diagnostic:
 def validate(model: StaticModel) -> list[Diagnostic]:
     """Run every V-check; deterministic order, idempotent, read-only.
 
-    Only the raw dicts are read, never the model's lookup tables, so a
-    model edited by hand is audited as it stands.
+    Stages, flows, triggers and parent links are read from the raw dicts,
+    so a model whose arrows or parents were edited by hand is audited as
+    it stands; names and scopes come from ``add_thimac``'s path record.
     """
     out: list[Diagnostic] = []
+
+    def line(entity: str) -> int:
+        return model.origin.get(entity, (0,))[0]
 
     # V1: the constructive API cannot produce this, but raw models can.
     per_machine: dict[tuple[str, ActionKind], list[str]] = {}
@@ -67,6 +71,7 @@ def validate(model: StaticModel) -> list[Diagnostic]:
                     "error",
                     model.thimac_path(owner),
                     f"machine declares {len(sids)} {kind.value} stages",
+                    line(owner),
                 )
             )
 
@@ -88,6 +93,7 @@ def validate(model: StaticModel) -> list[Diagnostic]:
                 "error",
                 model.thimacs[tid].name,
                 "thimac nesting is cyclic; models must form a forest",
+                line(tid),
             )
         )
 
@@ -100,9 +106,8 @@ def validate(model: StaticModel) -> list[Diagnostic]:
         src = model.stages.get(flow.src)
         dst = model.stages.get(flow.dst)
         if src is None or dst is None:
-            out.append(
-                Diagnostic("V2", "error", flow.id, "flow endpoint is not a stage")
-            )
+            message = "flow endpoint is not a stage"
+            out.append(Diagnostic("V2", "error", flow.id, message, line(flow.id)))
             continue
         if src.owner != dst.owner:
             faces_outside.update((flow.src, flow.dst))
@@ -122,7 +127,7 @@ def validate(model: StaticModel) -> list[Diagnostic]:
                 f"{model.stage_ref(flow.src)} -> {model.stage_ref(flow.dst)} "
                 "crosses machines without a transfer pair"
             )
-        out.append(Diagnostic(code, "error", flow.id, message))
+        out.append(Diagnostic(code, "error", flow.id, message, line(flow.id)))
 
     for sid, stage in model.stages.items():
         if sid not in touched:
@@ -132,6 +137,7 @@ def validate(model: StaticModel) -> list[Diagnostic]:
                     "warning",
                     model.stage_ref(sid),
                     "stage has no incident flow or trigger (dead potentiality)",
+                    line(sid),
                 )
             )
         if (
@@ -145,6 +151,7 @@ def validate(model: StaticModel) -> list[Diagnostic]:
                     "warning",
                     model.stage_ref(sid),
                     "transfer stage never crosses toward another machine",
+                    line(sid),
                 )
             )
 

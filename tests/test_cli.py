@@ -47,6 +47,37 @@ def test_validate_reports_unused_stage(cli, tmp_path):
     assert "x.release" in r.stderr
 
 
+#: an unused stage on line 7, another on line 8, an inward transfer on line 3
+UNUSED_AND_INWARD = (
+    "thimac a {\n"
+    "  create;\n"
+    "  release; transfer;\n"
+    "}\n"
+    "\n"
+    "thimac b {\n"
+    "  create;\n"
+    "  process;\n"
+    "}\n"
+    "flow a.create -> a.release;\n"
+    "flow a.release -> a.transfer;\n"
+)
+
+
+def test_validate_prints_the_source_line_of_each_v5_v6_stage(cli, tmp_path):
+    f = tmp_path / "m.tm"
+    f.write_text(UNUSED_AND_INWARD)
+    r = cli("validate", str(f))
+    assert r.returncode == 0
+    assert r.stderr.splitlines() == [
+        f"V5 warning {f}:7 b.create - stage has no incident flow or trigger "
+        "(dead potentiality)",
+        f"V5 warning {f}:8 b.process - stage has no incident flow or trigger "
+        "(dead potentiality)",
+        f"V6 warning {f}:3 a.transfer - transfer stage never crosses toward "
+        "another machine",
+    ]
+
+
 def test_validate_json_payload(cli):
     r = cli("validate", "--json", TOAST)
     assert r.returncode == 0
@@ -54,6 +85,19 @@ def test_validate_json_payload(cli):
     assert [d["code"] for d in payload] == ["B1", "B2"]
     assert all(d["severity"] == "warning" for d in payload)
     assert json.loads(cli("validate", "--json", LIB).stdout) == []
+
+
+def test_validate_json_payload_carries_source_lines(cli, tmp_path):
+    f = tmp_path / "m.tm"
+    f.write_text(UNUSED_AND_INWARD)
+    payload = json.loads(cli("validate", "--json", str(f)).stdout)
+    assert [(d["code"], d["subject"], d["line"]) for d in payload] == [
+        ("V5", "b.create", 7),
+        ("V5", "b.process", 8),
+        ("V6", "a.transfer", 3),
+    ]
+    toast = json.loads(cli("validate", "--json", TOAST).stdout)
+    assert all(d["line"] > 0 for d in toast)
 
 
 def test_syntax_error_exits_two(cli, tmp_path):

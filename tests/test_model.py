@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thimac.dsl import _nesting
 from thimac.model import (
     ActionKind,
     DottedName,
@@ -212,8 +213,19 @@ def test_depth_first_iteration_order():
     m.add_thimac("g1", c1)
     m.add_thimac("c2", r1)
     m.add_thimac("r2")
-    names = [m.thimacs[t].name for t in m.iter_thimacs_depth_first()]
-    assert names == ["r1", "c1", "g1", "c2", "r2"]
+    walk = [(m.thimacs[t].name, depth, opening) for t, depth, opening in _nesting(m)]
+    assert walk == [
+        ("r1", 0, True),
+        ("c1", 1, True),
+        ("g1", 2, True),
+        ("g1", 2, False),
+        ("c1", 1, False),
+        ("c2", 1, True),
+        ("c2", 1, False),
+        ("r1", 0, False),
+        ("r2", 0, True),
+        ("r2", 0, False),
+    ]
 
 
 def test_outgoing_flows_declaration_order():
@@ -293,8 +305,19 @@ def test_tables_match_a_derivation_from_the_raw_dicts(m):
             first[f.anchor] = f.id
     assert {anchor: f.id for anchor, f in m.by_anchor.items()} == first
 
-    assert m.thimac_at == {m.thimac_path(tid): tid for tid in m.thimacs}
+    def path(tid):  # from the raw parent links, not the table under test
+        t = m.thimacs[tid]
+        return t.name if t.parent is None else f"{path(t.parent)}.{t.name}"
+
+    def ancestors(tid):
+        parent = m.thimacs[tid].parent
+        return set() if parent is None else {parent} | ancestors(parent)
+
+    assert m.thimac_at == {path(tid): tid for tid in m.thimacs}
     for tid in m.thimacs:
-        assert m.resolve_thimac_path(m.thimac_path(tid)) == tid
+        assert m.thimac_path(tid) == path(tid)
+        assert m.resolve_thimac_path(path(tid)) == tid
+        for other in m.thimacs:
+            assert m.is_ancestor(other, tid) == (other in ancestors(tid))
     for sid in m.stages:
         assert m.resolve_stage_ref(m.stage_ref(sid)) == sid

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from thimac import check_behavior, validate
+from thimac import check_behavior, parse, validate
 from thimac.model import ActionKind, StaticModel, new_model
 from thimac.validate import (
     UNVERIFIED_VERBS,
@@ -139,12 +139,10 @@ def test_v6_inward_facing_transfer_is_a_warning():
 
 
 def test_diagnostic_render_shape():
-    m = new_model()
-    a = m.add_thimac("a")
-    m.add_stage(a, ActionKind.TRANSFER)
+    m = parse("thimac a {\n\n  transfer;\n}\n").model
     [d] = [x for x in validate(m) if x.code == "V5"]
-    line = d.render("m.tm", 3)
-    assert line.startswith("V5 warning m.tm:3 a.transfer - ")
+    assert d.line == 3
+    assert d.render("m.tm").startswith("V5 warning m.tm:3 a.transfer - ")
 
 
 # ---------------------------------------------------------------------------
