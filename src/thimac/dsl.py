@@ -27,23 +27,30 @@ that are not decimal, such as ``²``, are unexpected characters.
 
 Parsing never raises for bad input: every problem becomes a
 ParseDiagnostic with a 1-based line and column, and a document with any
-error yields no model.  Serialization is canonical (stages in kind order,
-flows by anchor then declaration), so parse-serialize-parse is the
-identity on models and re-serialization is byte-stable.
+error yields no model.  A broken statement is reported once and skipped
+past its stop token: ``}`` for thimac, event and behavior blocks, ``;``
+or ``}`` for flows and triggers.  Inside a block, a broken stage line or
+behavior edge is skipped past ``;`` or ``}`` (a ``}`` closes the block),
+and a nested thimac without ``{`` past the next ``}``.  A missing ``;`` is
+reported without skipping anything.
+
+Serialization is canonical (stages in kind order, flows by anchor then
+declaration), so parse-serialize-parse is the identity on models and
+re-serialization is byte-stable.
 """
 
 from __future__ import annotations
 
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from . import events as events_mod
-from .model import ActionKind, KIND_ORDER, ModelError, Region, StaticModel
+from .model import _KINDS, KIND_ORDER, ModelError, Region, StaticModel
 from .model import anchor_order, new_model
 from .events import BehaviorModel, EventDef, TimeSubthimac
 
-STAGE_KEYWORDS = {kind.value: kind for kind in ActionKind}
 STRUCTURE_KEYWORDS = {
     "thimac",
     "flow",
@@ -57,7 +64,7 @@ STRUCTURE_KEYWORDS = {
     "as",
 }
 #: Reserved words: the five generic actions plus the structural keywords.
-RESERVED_WORDS = frozenset(STAGE_KEYWORDS) | frozenset(STRUCTURE_KEYWORDS)
+RESERVED_WORDS = frozenset(_KINDS) | frozenset(STRUCTURE_KEYWORDS)
 
 
 @dataclass(frozen=True)
@@ -167,6 +174,10 @@ class _PendingArrow(NamedTuple):
     anchor: int | None
 
 
+class _Skip(Exception):
+    """A statement is broken; its diagnostic is already recorded."""
+
+
 class _Parser:
     def __init__(self, toks: list[_Token], diags: list[ParseDiagnostic]):
         self.toks = toks
@@ -196,37 +207,54 @@ class _Parser:
         tok = tok or self.peek()
         self.diags.append(ParseDiagnostic("error", message, tok.line, tok.column))
 
-    def expect(self, kind: str, what: str) -> _Token | None:
-        tok = self.peek()
-        if tok.kind == kind:
-            return self.advance()
-        self.error(f"expected {what}, found {tok.shown!r}")
-        return None
+    def fail(self, message: str, tok: _Token | None = None) -> NoReturn:
+        """Report ``message`` and abandon the statement being read."""
+        self.error(message, tok)
+        raise _Skip
 
-    def sync(self, *stops: str) -> None:
-        """Panic-mode recovery: skip to just past one of ``stops``."""
+    def expect(self, kind: str, what: str) -> _Token:
+        tok = self.toks[self.i]
+        if tok.kind == kind:  # never "eof", so step past it
+            self.i += 1
+            return tok
+        self.fail(f"expected {what}, found {tok.shown!r}")
+
+    def end(self) -> None:
+        """A statement's closing ';': reported when missing, never skipped to."""
+        try:  # not contextlib.suppress: this runs once per statement
+            self.expect(";", "';'")
+        except _Skip:
+            pass
+
+    def sync(self, *stops: str) -> bool:
+        """Skip to just past one of ``stops``; True iff that was a '}'."""
         while True:
             tok = self.peek()
             if tok.kind == "eof":
-                return
+                return False
             self.advance()
             if tok.kind in stops:
-                return
+                return tok.kind == "}"
 
     # -- grammar ---------------------------------------------------------
 
     def parse_document(self) -> None:
-        starts = {
-            "thimac": self.parse_thimac,
-            "flow": self.parse_arrow,
-            "trigger": self.parse_arrow,
-            "event": self.parse_event,
-            "behavior": self.parse_behavior,
+        # each statement's parser and the tokens a broken one is skipped past
+        statements = {
+            "thimac": (self.parse_thimac, ("}",)),
+            "flow": (self.parse_arrow, (";", "}")),
+            "trigger": (self.parse_arrow, (";", "}")),
+            "event": (self.parse_event, ("}",)),
+            "behavior": (self.parse_behavior, ("}",)),
         }
         while self.peek().kind != "eof":
             tok = self.peek()
-            if tok.kind == "ident" and tok.value in starts:
-                starts[tok.value]()
+            if tok.kind == "ident" and tok.value in statements:
+                parse_statement, stops = statements[tok.value]
+                try:
+                    parse_statement()
+                except _Skip:
+                    self.sync(*stops)
             else:
                 self.error(
                     f"expected thimac, flow, trigger, event, or behavior, "
@@ -234,16 +262,11 @@ class _Parser:
                 )
                 self.sync(";", "}")
 
-    def parse_name(self, what: str) -> _Token | None:
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.error(f"expected {what}, found {tok.shown!r}")
-            return None
+    def parse_name(self, what: str) -> _Token:
+        tok = self.expect("ident", what)
         if tok.value in RESERVED_WORDS:
-            self.error(f"{tok.value!r} is a reserved word and cannot name a {what}")
-            self.advance()
-            return None
-        return self.advance()
+            self.fail(f"{tok.value!r} is a reserved word and cannot name a {what}", tok)
+        return tok
 
     def parse_thimac(self) -> None:
         """A top-level thimac block with everything nested inside it.
@@ -264,75 +287,62 @@ class _Parser:
                 self.error("unclosed thimac block (missing '}')", kw)
                 blocks.pop()
             elif tok.kind == "ident" and tok.value == "thimac":
-                self.open_thimac(blocks)
-            elif tok.kind == "ident" and tok.value in STAGE_KEYWORDS:
+                try:
+                    self.open_thimac(blocks)
+                except _Skip:  # no '{': skip past the next '}', maybe the enclosing one
+                    self.sync("}")
+            elif tok.kind == "ident" and tok.value in _KINDS:
                 self.parse_stage(tid)
             else:
                 self.error(
                     f"{tok.shown!r} is not a generic action (expected create, "
                     "process, release, transfer, or receive)"
                 )
-                self.sync(";", "}")
-                if self.toks[self.i - 1].kind == "}":
+                if self.sync(";", "}"):
                     blocks.pop()
 
     def open_thimac(self, blocks: list[tuple[_Token, str | None]]) -> None:
-        """Read ``thimac NAME {`` and push the block it opens.
-
-        Without the '{' nothing is pushed and input is skipped past the next
-        '}', which may be the enclosing block's.
-        """
+        """Read ``thimac NAME {`` and push the block it opens."""
         kw = self.advance()  # "thimac"
-        name = self.parse_name("thimac")
         parent = blocks[-1][1] if blocks else None
         tid: str | None = None
-        if name is not None and (parent is not None or not blocks):
-            try:
+        try:
+            name = self.parse_name("thimac")
+            if parent is not None or not blocks:
                 tid = self.model.add_thimac(name.value, parent)
                 self.model.origin[tid] = (name.line, name.column)
-            except ModelError as exc:
-                self.error(str(exc), name)
-        if self.expect("{", "'{'") is None:
-            self.sync("}")
-        else:
-            blocks.append((kw, tid))
+        except _Skip:
+            pass  # a bad name still opens a block, which builds nothing
+        except ModelError as exc:
+            self.error(str(exc), name)
+        self.expect("{", "'{'")
+        blocks.append((kw, tid))
 
     def parse_stage(self, owner: str | None) -> None:
         kw = self.advance()
-        kind = STAGE_KEYWORDS[kw.value]
         alias: str | None = None
         if self.peek().kind == "ident" and self.peek().value == "as":
             self.advance()
-            alias_tok = self.parse_name("stage alias")
-            if alias_tok is not None:
-                alias = alias_tok.value
-        self.expect(";", "';'")
+            with suppress(_Skip):  # reported; the stage goes without one
+                alias = self.parse_name("stage alias").value
+        self.end()
         if owner is None:
             return
         try:
-            sid = self.model.add_stage(owner, kind, alias)
+            sid = self.model.add_stage(owner, _KINDS[kw.value], alias)
             self.model.origin[sid] = (kw.line, kw.column)
         except ModelError as exc:
             self.error(str(exc), kw)
 
-    def parse_stage_ref(self) -> str | None:
+    def parse_stage_ref(self) -> str:
         """Collect a dotted reference; returns its text, resolution later."""
-        parts: list[str] = []
-        tok = self.peek()
-        if tok.kind != "ident":
-            self.error(f"expected a stage reference, found {tok.shown!r}")
-            return None
-        parts.append(self.advance().value)
+        first = self.expect("ident", "a stage reference")
+        parts = [first.value]
         while self.peek().kind == ".":
             self.advance()
-            tok = self.peek()
-            if tok.kind != "ident":
-                self.error(f"expected a name after '.', found {tok.shown!r}")
-                return None
-            parts.append(self.advance().value)
+            parts.append(self.expect("ident", "a name after '.'").value)
         if len(parts) < 2:
-            self.error("a stage reference needs a thimac path and a stage", tok)
-            return None
+            self.fail("a stage reference needs a thimac path and a stage", first)
         return ".".join(parts)
 
     def parse_arrow(self) -> None:
@@ -340,10 +350,8 @@ class _Parser:
         kw = self.advance()
         arrow = "->" if kw.value == "flow" else "=>"
         src = self.parse_stage_ref()
-        dst = src and self.expect(arrow, f"'{arrow}'") and self.parse_stage_ref()
-        if dst is None:
-            self.sync(";", "}")
-            return
+        self.expect(arrow, f"'{arrow}'")
+        dst = self.parse_stage_ref()
         carries: str | None = None
         anchor: int | None = None
         while (
@@ -352,73 +360,44 @@ class _Parser:
             and self.peek().value in ("carries", "anchor")
         ):
             if self.advance().value == "carries":
-                s = self.expect("string", "a quoted thing label")
-                if s is None:
-                    self.sync(";", "}")
-                    return
-                carries = s.value
+                carries = self.expect("string", "a quoted thing label").value
             else:
-                num = self.expect("int", "an anchor number")
-                if num is None:
-                    self.sync(";", "}")
-                    return
-                anchor = int(num.value)
-        self.expect(";", "';'")
+                anchor = int(self.expect("int", "an anchor number").value)
+        self.end()
         self.arrows.append(_PendingArrow(kw, src, dst, carries, anchor))
 
     def parse_event(self) -> None:
         self.advance()
         name = self.parse_name("event")
-        if name is None or self.expect("{", "'{'") is None:
-            self.sync("}")
-            return
+        self.expect("{", "'{'")
         tok = self.peek()
         if not (tok.kind == "ident" and tok.value == "region"):
-            self.error("an event block starts with 'region'")
-            self.sync("}")
-            return
+            self.fail("an event block starts with 'region'")
         self.advance()
-        if self.expect("[", "'['") is None:
-            self.sync("}")
-            return
-        refs: list[str] = []
-        while True:
-            ref = self.parse_stage_ref()
-            if ref is None:
-                self.sync("}")
-                return
-            refs.append(ref)
-            if self.peek().kind == ",":
-                self.advance()
-                continue
-            break
-        if self.expect("]", "']'") is None:
-            self.sync("}")
-            return
+        self.expect("[", "'['")
+        refs = [self.parse_stage_ref()]
+        while self.peek().kind == ",":
+            self.advance()
+            refs.append(self.parse_stage_ref())
+        self.expect("]", "']'")
         time: TimeSubthimac | None = None
         tok = self.peek()
         if tok.kind == "ident" and tok.value == "time":
             self.advance()
             lo = self.expect("int", "a start tick")
-            hi = lo and self.expect("..", "'..'") and self.expect("int", "an end tick")
-            if hi is None:
-                self.sync("}")
-                return
+            self.expect("..", "'..'")
+            hi = self.expect("int", "an end tick")
             try:
                 time = TimeSubthimac(int(lo.value), int(hi.value))
             except ValueError as exc:
                 self.error(str(exc), lo)
-        if self.expect("}", "'}'") is None:
-            self.sync("}")
-            return
+        self.expect("}", "'}'")
         self.events.append((name, refs, time))
 
     def parse_behavior(self) -> None:
         kw = self.advance()
         name = self.parse_name("behavior")
-        if name is None or self.expect("{", "'{'") is None:
-            self.sync("}")
-            return
+        self.expect("{", "'{'")
         edges: list[tuple[_Token, _Token]] = []
         while True:
             tok = self.peek()
@@ -426,18 +405,17 @@ class _Parser:
                 self.advance()
                 break
             if tok.kind == "eof":
-                self.error("unclosed behavior block (missing '}')", kw)
-                return
-            pred = self.expect("ident", "an event name")
-            arrow = pred and self.expect("->", "'->'")
-            succ = arrow and self.expect("ident", "an event name")
-            if succ is None:
-                self.sync(";", "}")
-                if self.toks[self.i - 1].kind == "}":
+                self.fail("unclosed behavior block (missing '}')", kw)
+            try:
+                pred = self.expect("ident", "an event name")
+                self.expect("->", "'->'")
+                succ = self.expect("ident", "an event name")
+            except _Skip:  # skip this edge; a '}' also ends the block
+                if self.sync(";", "}"):
                     break
-                continue
-            self.expect(";", "';'")
-            edges.append((pred, succ))
+            else:
+                self.end()
+                edges.append((pred, succ))
         self.behaviors.append((name, edges))
 
     # -- late resolution ---------------------------------------------------

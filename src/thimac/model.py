@@ -334,10 +334,6 @@ class StaticModel:
         stage = self.stages[stage_id]
         return f"{self.thimac_path(stage.owner)}.{stage.kind.value}"
 
-    def resolve_thimac_path(self, path: str) -> str | None:
-        """Resolve a dotted name path to a thimac id, or None."""
-        return self.thimac_at.get(path)
-
     def resolve_stage_ref(self, ref: str) -> str | None:
         """Resolve ``path.kind`` (or ``path.alias``) to a stage id, or None."""
         path, dot, last = ref.rpartition(".")

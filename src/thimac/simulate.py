@@ -150,7 +150,7 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
                 raise ScenarioError("expected: inject <tick> <path> <label>", lineno)
             if not toks[1].isdecimal():
                 raise ScenarioError(f"bad tick {toks[1]!r}", lineno)
-            tid = model.resolve_thimac_path(toks[2])
+            tid = model.thimac_at.get(toks[2])
             if tid is None:
                 raise ScenarioError(f"unknown thimac {toks[2]!r}", lineno)
             if ActionKind.CREATE not in model.thimacs[tid].stages:

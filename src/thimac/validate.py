@@ -76,16 +76,20 @@ def validate(model: StaticModel) -> list[Diagnostic]:
             )
 
     # V4 first so V2/V3 can still use ancestry on the sane part of the forest.
+    # Each parent walk stops where an earlier one passed: all above is known.
     cyclic: set[str] = set()
+    passed: set[str] = set()
     for tid in model.thimacs:
-        seen: list[str] = []
+        walk: dict[str, None] = {}  # this walk's thimacs, in order
         cur: str | None = tid
-        while cur is not None:
-            if cur in seen:
-                cyclic.update(seen[seen.index(cur) :])
+        while cur is not None and cur not in passed:
+            if cur in walk:
+                order = list(walk)
+                cyclic.update(order[order.index(cur) :])
                 break
-            seen.append(cur)
+            walk[cur] = None
             cur = model.thimacs[cur].parent if cur in model.thimacs else None
+        passed.update(walk)
     for tid in sorted(cyclic):
         out.append(
             Diagnostic(

@@ -166,7 +166,9 @@ def rows_or_stuck(model, scenario):
 @given(worlds())
 def test_runs_keep_the_engine_invariants(world):
     """At most one entry per thing per tick, births only at create stages,
-    and a second run of the same scenario gives identical rows."""
+    each step along a flow out of the thing's previous stage, a wait of
+    more than one tick only at a gate, and identical rows from a second
+    run of the same scenario."""
     model, text = world
     scenario = load_scenario(model, text)
     with mock.patch.object(simulate, "ENTRY_BUDGET", 2000):
@@ -181,3 +183,12 @@ def test_runs_keep_the_engine_invariants(world):
     for tick, _, thing, sid, kind in rows:
         assert model.stages[sid].kind is kind
         assert (kind is ActionKind.CREATE) == (tick == born[thing])
+    targets = {g.dst for g in model.triggers.values()}
+    gates = {sid for sid in targets if model.stages[sid].kind is not ActionKind.CREATE}
+    last = {}  # thing -> (tick, stage) of its previous row
+    for tick, _, thing, sid, _ in rows:
+        if thing in last:
+            was, src = last[thing]
+            assert sid in {f.dst for f in model.flows_from.get(src, ())}
+            assert tick - was == 1 or src in gates
+        last[thing] = tick, sid

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from thimac import SourceDocument, emit_dot, parse, serialize
+from thimac import SourceDocument, emit_dot, parse, serialize, validate
 from thimac.dsl import RESERVED_WORDS, _tokenize
 from thimac.model import ActionKind, new_model
 
@@ -326,6 +326,176 @@ def test_tokens_and_diagnostics_are_pinned(text, tokens, diagnostics):
     assert [(d.message, d.line, d.column) for d in diags] == diagnostics
 
 
+A = "thimac a { create; release; }\n"
+TOP = "expected thimac, flow, trigger, event, or behavior, found "
+NOT_ACTION = " is not a generic action (expected create, process, release, transfer, or receive)"
+
+
+@pytest.mark.parametrize(
+    "text, diagnostics",
+    [
+        pytest.param(
+            "junk 1;\nthimac a { create; }\n}\nflow",
+            [(TOP + "'junk'", 1, 1), (TOP + "'}'", 3, 1),
+             ("expected a stage reference, found 'eof'", 4, 5)],
+            id="top-level junk",
+        ),
+        pytest.param(  # a bad name still opens a block
+            "thimac flow { take; }\nthimac event",
+            [("'flow' is a reserved word and cannot name a thimac", 1, 8),
+             ("'take'" + NOT_ACTION, 1, 15),
+             ("'event' is a reserved word and cannot name a thimac", 2, 8),
+             ("expected '{', found 'eof'", 2, 13)],
+            id="reserved thimac name",
+        ),
+        pytest.param(
+            "thimac a create; }\nthimac b { create; }",
+            [("expected '{', found 'create'", 1, 10)],
+            id="no '{' at top level",
+        ),
+        pytest.param(  # b is skipped past the next '}', then a's block goes on
+            "thimac a { thimac b create; } release; }\nthimac b",
+            [("expected '{', found 'create'", 1, 21), ("expected '{', found 'eof'", 2, 9)],
+            id="no '{' when nested",
+        ),
+        pytest.param(
+            "thimac a { take it; create; sell }\n  thimac b { x }",
+            [("'take'" + NOT_ACTION, 1, 12), ("'sell'" + NOT_ACTION, 1, 29),
+             ("'x'" + NOT_ACTION, 2, 14)],
+            id="non-action word",
+        ),
+        pytest.param(
+            "thimac a { create as flow; release as 3; process as p; }",
+            [("'flow' is a reserved word and cannot name a stage alias", 1, 22),
+             ("expected stage alias, found '3'", 1, 39),
+             ("expected ';', found '3'", 1, 39),
+             ("'3'" + NOT_ACTION, 1, 39)],
+            id="bad alias",
+        ),
+        pytest.param(
+            "thimac a { create release\n}",
+            [("expected ';', found 'release'", 1, 19), ("expected ';', found '}'", 2, 1)],
+            id="stage without ';'",
+        ),
+        pytest.param(
+            "thimac a { thimac b { create;",
+            [("unclosed thimac block (missing '}')", 1, 12),
+             ("unclosed thimac block (missing '}')", 1, 1)],
+            id="unclosed thimac",
+        ),
+        pytest.param(
+            A + "flow a.create -> a.release\nflow a.create -> a.release anchor 1 ?",
+            [("unexpected character '?'", 3, 37), ("expected ';', found 'flow'", 3, 1),
+             ("expected ';', found 'eof'", 3, 38)],
+            id="flow without ';'",
+        ),
+        pytest.param(
+            A + "flow a.create a.release;\ntrigger a.release -> a.create }\nx",
+            [("expected '->', found 'a'", 2, 15), ("expected '=>', found '->'", 3, 19),
+             (TOP + "'x'", 4, 1)],
+            id="arrow without '->' or '=>'",
+        ),
+        pytest.param(
+            A + "flow a -> a.release;\ntrigger a.create => release;\nx",
+            [("a stage reference needs a thimac path and a stage", 2, 6),
+             ("a stage reference needs a thimac path and a stage", 3, 21),
+             (TOP + "'x'", 4, 1)],
+            id="one-segment ref",
+        ),
+        pytest.param(
+            A + "flow a. -> a.release;\nflow a.create -> a.;\nx",
+            [("expected a name after '.', found '->'", 2, 9),
+             ("expected a name after '.', found ';'", 3, 20), (TOP + "'x'", 4, 1)],
+            id="'.' without a name",
+        ),
+        pytest.param(
+            A + "flow a.create -> a.release carries 3;\nx",
+            [("expected a quoted thing label, found '3'", 2, 36), (TOP + "'x'", 3, 1)],
+            id="carries 3",
+        ),
+        pytest.param(
+            A + "flow a.create -> a.release anchor x }\nx",
+            [("expected an anchor number, found 'x'", 2, 35), (TOP + "'x'", 3, 1)],
+            id="anchor x",
+        ),
+        pytest.param(
+            A + "event e region [a.create] }\nevent flow { }\nx",
+            [("expected '{', found 'region'", 2, 9),
+             ("'flow' is a reserved word and cannot name a event", 3, 7),
+             (TOP + "'x'", 4, 1)],
+            id="event without '{'",
+        ),
+        pytest.param(
+            A + "event e { [a.create] }\nx",
+            [("an event block starts with 'region'", 2, 11), (TOP + "'x'", 3, 1)],
+            id="event without region",
+        ),
+        pytest.param(
+            A + "event e { region a.create] }\nx",
+            [("expected '[', found 'a'", 2, 18), (TOP + "'x'", 3, 1)],
+            id="event without '['",
+        ),
+        pytest.param(
+            A + "event e { region [a.create; }\nx",
+            [("expected ']', found ';'", 2, 27), (TOP + "'x'", 3, 1)],
+            id="event without ']'",
+        ),
+        pytest.param(
+            A + "event e { region [a.create, 3] }\nevent f { region [a.create,] }\nx",
+            [("expected a stage reference, found '3'", 2, 29),
+             ("expected a stage reference, found ']'", 3, 28), (TOP + "'x'", 4, 1)],
+            id="bad ref in region",
+        ),
+        pytest.param(
+            A + "event e { region [a.create] time 1 2 }\nevent f { region [a.create] time }\nx",
+            [("expected '..', found '2'", 2, 36), ("expected a start tick, found '}'", 3, 34),
+             (TOP + "'x'", 4, 1)],
+            id="time 1 2",
+        ),
+        pytest.param(  # reported, and the event is still read to its '}'
+            A + "event e { region [a.create] time 5..2 }\nx",
+            [("bad time interval 5..2", 2, 34), (TOP + "'x'", 3, 1)],
+            id="time 5..2",
+        ),
+        pytest.param(
+            A + "event e { region [a.create] time 1..2 ;\nx }\ny",
+            [("expected '}', found ';'", 2, 39), (TOP + "'y'", 4, 1)],
+            id="event without '}'",
+        ),
+        pytest.param(  # the last broken edge ends at the block's '}'
+            A + "event e { region [a.create] }\nbehavior b { e e; e -> ; 3 }\nx",
+            [("expected '->', found 'e'", 3, 16), ("expected an event name, found ';'", 3, 24),
+             ("expected an event name, found '3'", 3, 26), (TOP + "'x'", 4, 1)],
+            id="edge without '->'",
+        ),
+        pytest.param(
+            A + "event e { region [a.create] }\nevent f { region [a.release] }\n"
+            "behavior b { e -> f f -> e }\nx",
+            [("expected ';', found 'f'", 4, 21), ("expected ';', found '}'", 4, 28),
+             (TOP + "'x'", 5, 1)],
+            id="edge without ';'",
+        ),
+        pytest.param(
+            A + "behavior b e -> f; }\nbehavior 3 { }\nx",
+            [("expected '{', found 'e'", 2, 12), ("expected behavior, found '3'", 3, 10),
+             (TOP + "'x'", 4, 1)],
+            id="behavior without '{'",
+        ),
+        pytest.param(  # the block is dropped, so its self-loop goes unreported
+            A + "event e { region [a.create] }\nbehavior b { e -> e;",
+            [("unclosed behavior block (missing '}')", 3, 1)],
+            id="unclosed behavior",
+        ),
+    ],
+)
+def test_recovery_diagnostics_are_pinned(text, diagnostics):
+    """Each broken statement is reported once and skipped past its stop
+    token; a missing ';' is reported without skipping anything."""
+    result = parse(text)
+    assert [(d.message, d.line, d.column) for d in result.diagnostics] == diagnostics
+    assert result.model is None
+
+
 @pytest.mark.parametrize(
     "decl",
     ["flow a.create -> a.release anchor ²;", "event e { region [a.create] time 1..² }"],
@@ -350,3 +520,6 @@ def test_deep_nesting_round_trips_and_exports():
     assert result.ok, [d.render() for d in result.diagnostics[:3]]
     assert serialize(result.model) == text
     assert emit_dot(result.model).count("subgraph cluster_") == depth
+    [dead] = validate(result.model)  # and V4's parent walks stay linear
+    assert dead.code == "V5"
+    assert dead.subject == ".".join(f"n{d}" for d in range(depth)) + ".create"

@@ -171,7 +171,7 @@ def test_paths_and_refs_round_trip():
     assert m.resolve_stage_ref("outer.inner.crunch") == p
     assert m.resolve_stage_ref("outer.inner.transfer") is None
     assert m.resolve_stage_ref("nowhere.process") is None
-    assert m.resolve_thimac_path("outer.inner") == inner
+    assert m.thimac_at.get("outer.inner") == inner
 
 
 def test_subdiagram_connectivity():
@@ -316,7 +316,7 @@ def test_tables_match_a_derivation_from_the_raw_dicts(m):
     assert m.thimac_at == {path(tid): tid for tid in m.thimacs}
     for tid in m.thimacs:
         assert m.thimac_path(tid) == path(tid)
-        assert m.resolve_thimac_path(path(tid)) == tid
+        assert m.thimac_at.get(path(tid)) == tid
         for other in m.thimacs:
             assert m.is_ancestor(other, tid) == (other in ancestors(tid))
     for sid in m.stages:

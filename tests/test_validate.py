@@ -101,14 +101,15 @@ def test_v4_nesting_cycle_found_in_raw_model():
     m = new_model()
     a = m.add_thimac("a")
     b = m.add_thimac("b", a)
+    m.add_thimac("c", b)  # hangs off the cycle without being in it
     m.thimacs[a].parent = b  # corrupt the forest
     diags = validate(m)
-    assert "V4" in codes(diags)
+    assert [(d.code, d.subject) for d in diags] == [("V4", "a"), ("V4", "b")]
 
 
 def test_v5_untouched_stage_is_a_warning():
     m = hop_model()
-    b = m.resolve_thimac_path("b")
+    b = m.thimac_at.get("b")
     m.add_stage(b, ActionKind.CREATE)  # nothing touches it
     diags = validate(m)
     assert codes(diags) == ["V5"]
@@ -119,7 +120,7 @@ def test_v5_untouched_stage_is_a_warning():
 
 def test_v5_satisfied_by_a_trigger():
     m = hop_model()
-    b = m.resolve_thimac_path("b")
+    b = m.thimac_at.get("b")
     sid = m.add_stage(b, ActionKind.CREATE)
     m.add_trigger(m.resolve_stage_ref("b.process"), sid)
     assert validate(m) == []
