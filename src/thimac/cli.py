@@ -17,7 +17,6 @@ the entry budget),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -83,6 +82,8 @@ def cmd_validate(args) -> int:
     errors = sum(1 for d in diags if d.severity == "error")
     warnings = len(diags) - errors
     if args.json:
+        import json  # here, not at the top: no other command pays its import
+
         print(json.dumps([asdict(d) for d in diags], indent=2))
     else:
         print(f"{errors} error(s), {warnings} warning(s)")

@@ -25,14 +25,25 @@ digit.  Numbers (anchors, ticks) are runs of decimal digits: any Unicode
 decimal digit counts, so ``٣`` reads as 3, while digit-like characters
 that are not decimal, such as ``²``, are unexpected characters.
 
+Two readers share the work.  The statement reader matches one regular
+expression per whole statement and builds the model as it goes; it takes
+well-formed documents (blanks anywhere a token boundary allows them,
+comments only between statements, labels without escapes) and declines
+anything else, including every document that needs a diagnostic.  The
+token parser then reads the document from the start, so every parse
+diagnostic comes from it alone.  Both fill the same pending flows,
+events and behaviors, which one late resolution step turns into the
+result, so a document reads the same whichever reader takes it.
+
 Parsing never raises for bad input: every problem becomes a
 ParseDiagnostic with a 1-based line and column, and a document with any
 error yields no model.  A broken statement is reported once and skipped
 past its stop token: ``}`` for thimac, event and behavior blocks, ``;``
 or ``}`` for flows and triggers.  Inside a block, a broken stage line or
 behavior edge is skipped past ``;`` or ``}`` (a ``}`` closes the block),
-and a nested thimac without ``{`` past the next ``}``.  A missing ``;`` is
-reported without skipping anything.
+and a nested thimac without ``{`` past the next ``}``; a stage with a bad
+alias is still declared, without one.  A missing ``;`` is reported
+without skipping anything.
 
 Serialization is canonical (stages in kind order, flows by anchor then
 declaration), so parse-serialize-parse is the identity on models and
@@ -42,7 +53,6 @@ re-serialization is byte-stable.
 from __future__ import annotations
 
 import re
-from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn
 
@@ -265,7 +275,9 @@ class _Parser:
     def parse_name(self, what: str) -> _Token:
         tok = self.expect("ident", what)
         if tok.value in RESERVED_WORDS:
-            self.fail(f"{tok.value!r} is a reserved word and cannot name a {what}", tok)
+            article = "an" if what[0] in "aeiou" else "a"
+            message = f"{tok.value!r} is a reserved word and cannot name {article} {what}"
+            self.fail(message, tok)
         return tok
 
     def parse_thimac(self) -> None:
@@ -291,15 +303,17 @@ class _Parser:
                     self.open_thimac(blocks)
                 except _Skip:  # no '{': skip past the next '}', maybe the enclosing one
                     self.sync("}")
-            elif tok.kind == "ident" and tok.value in _KINDS:
-                self.parse_stage(tid)
             else:
-                self.error(
-                    f"{tok.shown!r} is not a generic action (expected create, "
-                    "process, release, transfer, or receive)"
-                )
-                if self.sync(";", "}"):
-                    blocks.pop()
+                try:
+                    if not (tok.kind == "ident" and tok.value in _KINDS):
+                        self.fail(
+                            f"{tok.shown!r} is not a generic action (expected create, "
+                            "process, release, transfer, or receive)"
+                        )
+                    self.parse_stage(tid)
+                except _Skip:  # skip the stage line; a '}' also ends the block
+                    if self.sync(";", "}"):
+                        blocks.pop()
 
     def open_thimac(self, blocks: list[tuple[_Token, str | None]]) -> None:
         """Read ``thimac NAME {`` and push the block it opens."""
@@ -319,20 +333,21 @@ class _Parser:
         blocks.append((kw, tid))
 
     def parse_stage(self, owner: str | None) -> None:
+        """A stage line; one with a bad alias still declares its stage."""
         kw = self.advance()
         alias: str | None = None
-        if self.peek().kind == "ident" and self.peek().value == "as":
-            self.advance()
-            with suppress(_Skip):  # reported; the stage goes without one
-                alias = self.parse_name("stage alias").value
-        self.end()
-        if owner is None:
-            return
         try:
-            sid = self.model.add_stage(owner, _KINDS[kw.value], alias)
-            self.model.origin[sid] = (kw.line, kw.column)
-        except ModelError as exc:
-            self.error(str(exc), kw)
+            if self.peek().kind == "ident" and self.peek().value == "as":
+                self.advance()
+                alias = self.parse_name("stage alias").value
+            self.end()
+        finally:
+            if owner is not None:
+                try:
+                    sid = self.model.add_stage(owner, _KINDS[kw.value], alias)
+                    self.model.origin[sid] = (kw.line, kw.column)
+                except ModelError as exc:
+                    self.error(str(exc), kw)
 
     def parse_stage_ref(self) -> str:
         """Collect a dotted reference; returns its text, resolution later."""
@@ -481,12 +496,147 @@ class _Parser:
         return list(defined.values()), behaviors
 
 
+# ---------------------------------------------------------------------------
+# the statement reader: well-formed documents, one match per statement
+
+_B = r"[ \t\r\n]"  # the blanks _TOKEN_RE skips, with the newline it splits on
+_NAME_PAT = _NAME_RE.pattern
+_REF_PAT = rf"{_NAME_PAT}(?:\.{_NAME_PAT})+"
+# Blanks and comments between statements.  A comment runs to the end of
+# its line, so each text has one way to match and a failed statement
+# costs one backward step per character, not exponential backtracking.
+_GAP = rf"(?:{_B}|\#[^\n]*(?![^\n]))*"
+# Each alternative is one whole statement; its outer group closes last, so
+# ``lastgroup`` names it.  re.ASCII keeps \d to the ASCII digits: a number
+# in any other decimal digits is left to the token parser.
+_STATEMENT_RE = re.compile(
+    rf"""
+    {_GAP}(?:
+      (?P<thimac>thimac{_B}+(?P<thimac_name>{_NAME_PAT}){_B}*\{{)
+    | (?P<close>\}})
+    | (?P<stage>(?P<action>create|process|release|transfer|receive)
+        (?:{_B}+as{_B}+(?P<alias>{_NAME_PAT}))?{_B}*;)
+    | (?P<flow>flow{_B}+(?P<flow_src>{_REF_PAT}){_B}*->{_B}*(?P<flow_dst>{_REF_PAT})
+        (?:{_B}+carries{_B}*"(?P<carries>[^"\\\n]*)")?
+        (?:{_B}+anchor{_B}+(?P<anchor>\d+))?{_B}*;)
+    | (?P<trigger>trigger{_B}+(?P<trigger_src>{_REF_PAT}){_B}*=>
+        {_B}*(?P<trigger_dst>{_REF_PAT}){_B}*;)
+    | (?P<event>event{_B}+(?P<event_name>{_NAME_PAT}){_B}*\{{{_B}*region{_B}*\[
+        {_B}*(?P<refs>{_REF_PAT}(?:{_B}*,{_B}*{_REF_PAT})*){_B}*\]
+        (?:{_B}*time{_B}+(?P<lo>\d+){_B}*\.\.{_B}*(?P<hi>\d+))?{_B}*\}})
+    | (?P<behavior>behavior{_B}+(?P<behavior_name>{_NAME_PAT}){_B}*\{{)
+    | (?P<edge>(?P<pred>{_NAME_PAT}){_B}*->{_B}*(?P<succ>{_NAME_PAT}){_B}*;)
+    )
+    """,
+    re.VERBOSE | re.ASCII,
+)
+_END_RE = re.compile(rf"{_GAP}\Z")
+
+
+def _read_statements(text: str) -> _Parser | None:
+    """Read a well-formed document a statement at a time, or return None.
+
+    Fills a ``_Parser`` as ``parse_document`` would, tokens at the same
+    lines and columns, so ``resolve`` finishes either.  Anything this
+    reader does not recognise, or that would need a diagnostic (a
+    reserved name, a ``ModelError``, a bad time interval), returns None,
+    and the token parser reads the document and reports on it.
+    """
+    parser = _Parser([], [])
+    model = parser.model
+    new = tuple.__new__
+    blocks: list[str] = []  # the open thimac blocks' ids, innermost last
+    behavior: tuple[_Token, list[tuple[_Token, _Token]]] | None = None  # an open one
+    line, seen = 1, 0  # the line that text[seen] is on
+
+    def token(group: str, value: str | None = None) -> _Token:
+        """The ident token at ``group``'s start; never called backwards."""
+        nonlocal line, seen
+        p = m.start(group)
+        line += text.count("\n", seen, p)
+        seen = p
+        column = p - text.rfind("\n", 0, p)
+        return new(_Token, ("ident", value or m[group], line, column))
+
+    pos = 0
+    while m := _STATEMENT_RE.match(text, pos):
+        pos = m.end()
+        kind = m.lastgroup
+        if kind == "edge":
+            if behavior is None:
+                return None
+            behavior[1].append((token("pred"), token("succ")))
+        elif kind == "close":
+            if behavior is not None:
+                parser.behaviors.append(behavior)
+                behavior = None
+            elif blocks:
+                blocks.pop()
+            else:
+                return None
+        elif behavior is not None:
+            return None
+        elif kind == "stage":
+            alias = m["alias"]
+            if not blocks or alias in RESERVED_WORDS:
+                return None
+            kw = token("action")
+            try:
+                sid = model.add_stage(blocks[-1], _KINDS[kw.value], alias)
+            except ModelError:
+                return None
+            model.origin[sid] = (kw.line, kw.column)
+        elif kind == "thimac":
+            name = token("thimac_name")
+            if name.value in RESERVED_WORDS:
+                return None
+            try:
+                tid = model.add_thimac(name.value, blocks[-1] if blocks else None)
+            except ModelError:
+                return None
+            model.origin[tid] = (name.line, name.column)
+            blocks.append(tid)
+        elif blocks:
+            return None
+        elif kind == "flow" or kind == "trigger":
+            anchor = m["anchor"]
+            parser.arrows.append(_PendingArrow(
+                token(kind, kind),
+                m[kind + "_src"],
+                m[kind + "_dst"],
+                m["carries"],
+                None if anchor is None else int(anchor),
+            ))
+        elif kind == "event":
+            name = token("event_name")
+            if name.value in RESERVED_WORDS:
+                return None
+            time: TimeSubthimac | None = None
+            if m["lo"] is not None:
+                try:
+                    time = TimeSubthimac(int(m["lo"]), int(m["hi"]))
+                except ValueError:
+                    return None
+            refs = [ref.strip(" \t\r\n") for ref in m["refs"].split(",")]
+            parser.events.append((name, refs, time))
+        else:  # behavior
+            name = token("behavior_name")
+            if name.value in RESERVED_WORDS:
+                return None
+            behavior = (name, [])
+    if blocks or behavior is not None or not _END_RE.match(text, pos):
+        return None
+    return parser
+
+
 def parse(doc: SourceDocument | str) -> ParseResult:
     """Parse one document; never raises on malformed input."""
     if isinstance(doc, str):
         doc = SourceDocument(doc)
-    parser = _Parser(*_tokenize(doc.text))
-    parser.parse_document()
+    parser = _read_statements(doc.text)
+    if parser is None:  # not well-formed: the token parser says why
+        parser = _Parser(*_tokenize(doc.text))
+        parser.parse_document()
     events, behaviors = parser.resolve()
     if any(d.severity == "error" for d in parser.diags):
         return ParseResult(model=None, diagnostics=parser.diags)
