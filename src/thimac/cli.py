@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 from . import events as events_mod
@@ -84,7 +83,7 @@ def cmd_validate(args) -> int:
     if args.json:
         import json  # here, not at the top: no other command pays its import
 
-        print(json.dumps([asdict(d) for d in diags], indent=2))
+        print(json.dumps([d._asdict() for d in diags], indent=2))
     else:
         print(f"{errors} error(s), {warnings} warning(s)")
     return 1 if errors else 0
@@ -101,7 +100,7 @@ def _event_by_name(result: ParseResult, name: str):
 def cmd_events(args) -> int:
     result = _parse_file(args.model)
     model = result.model
-    if args.encode:
+    if args.encode is not None:
         ev = _event_by_name(result, args.encode)
         try:
             seq = events_mod.event_action_sequence(model, ev)
@@ -110,7 +109,7 @@ def cmd_events(args) -> int:
             return 1
         print(events_mod.encode_actions(seq))
         return 0
-    if args.decode:
+    if args.decode is not None:
         try:
             seq = events_mod.decode_actions(args.decode)
         except events_mod.EventError as exc:
@@ -212,7 +211,7 @@ def cmd_export(args) -> int:
         sys.stdout.write(serialize(result.model, result.events, result.behaviors))
         return 0
     highlight = None
-    if args.highlight:
+    if args.highlight is not None:
         highlight = result.model.subdiagram(
             _event_by_name(result, args.highlight).region
         )

@@ -53,11 +53,10 @@ re-serialization is byte-stable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple, NoReturn
 
 from . import events as events_mod
-from .model import _KINDS, KIND_ORDER, ModelError, Region, StaticModel
+from .model import _KINDS, KIND_ORDER, ModelError, Region, StaticModel, _Record
 from .model import anchor_order, new_model
 from .events import BehaviorModel, EventDef, TimeSubthimac
 
@@ -77,14 +76,12 @@ STRUCTURE_KEYWORDS = {
 RESERVED_WORDS = frozenset(_KINDS) | frozenset(STRUCTURE_KEYWORDS)
 
 
-@dataclass(frozen=True)
-class SourceDocument:
+class SourceDocument(NamedTuple):
     text: str
     path: str = "<string>"
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     severity: str  # "error" | "warning"
     message: str
     line: int
@@ -94,8 +91,7 @@ class ParseDiagnostic:
         return f"{path}:{self.line}:{self.column}: {self.severity}: {self.message}"
 
 
-@dataclass
-class ParseResult:
+class ParseResult(_Record):
     """Everything one document declares; ``model`` is None on any error.
 
     ``event_lines`` gives each event's declaration line, by id;
@@ -103,12 +99,20 @@ class ParseResult:
     ``(predecessor, successor)``.
     """
 
-    model: StaticModel | None
-    events: list[EventDef] = field(default_factory=list)
-    behaviors: dict[str, BehaviorModel] = field(default_factory=dict)
-    diagnostics: list[ParseDiagnostic] = field(default_factory=list)
-    event_lines: dict[str, int] = field(default_factory=dict)
-    edge_lines: dict[str, dict[tuple[str, str], int]] = field(default_factory=dict)
+    __slots__ = _fields = ("model", "events", "behaviors", "diagnostics",
+                           "event_lines", "edge_lines")
+
+    def __init__(self, model: StaticModel | None, events: list[EventDef] | None = None,
+                 behaviors: dict[str, BehaviorModel] | None = None,
+                 diagnostics: list[ParseDiagnostic] | None = None,
+                 event_lines: dict[str, int] | None = None,
+                 edge_lines: dict[str, dict[tuple[str, str], int]] | None = None):
+        self.model = model
+        self.events = [] if events is None else events
+        self.behaviors = {} if behaviors is None else behaviors
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.event_lines = {} if event_lines is None else event_lines
+        self.edge_lines = {} if edge_lines is None else edge_lines
 
     @property
     def ok(self) -> bool:

@@ -9,7 +9,7 @@ chronology of a model's story.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import ActionKind, StaticModel, legal_successor, reachable
 from .validate import Diagnostic
@@ -47,20 +47,20 @@ class AmbiguousReading(EventError):
     pass
 
 
-@dataclass(frozen=True)
-class TimeSubthimac:
+class TimeSubthimac(NamedTuple("TimeSubthimac", [("start", int), ("end", int)])):
     """Closed-open tick interval [start, end) attached to an event."""
 
-    start: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.start < 0 or self.end < self.start:
-            raise ValueError(f"bad time interval {self.start}..{self.end}")
+    def __new__(cls, start: int, end: int):
+        if start < 0 or end < start:
+            raise ValueError(f"bad time interval {start}..{end}")
+        return super().__new__(cls, start, end)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
 
-@dataclass(frozen=True)
-class EventDef:
+class EventDef(NamedTuple):
     """A named, validated region, optionally scheduled in time.
 
     ``time`` being None means the event is a template: it describes a
@@ -138,14 +138,9 @@ def decode_actions(code: str) -> tuple[ActionKind, ...]:
         raise NoLegalReading(f"no legal action sequence reads {code!r}")
     if total > 1:
         raise AmbiguousReading(f"{code!r} admits {total} legal readings")
-    out: list[ActionKind] = []
-    cur = next(iter(ways[-1]))
-    out.append(cur)
+    out = [next(iter(ways[-1]))]
     for i in range(len(options) - 2, -1, -1):
-        cur = next(
-            k for k, n in ways[i].items() if n and chain_legal(k, out[-1])
-        )
-        out.append(cur)
+        out.append(next(k for k, n in ways[i].items() if n and chain_legal(k, out[-1])))
     out.reverse()
     return tuple(out)
 
@@ -227,8 +222,7 @@ def decompose(model: StaticModel, event: EventDef) -> list[EventDef]:
 # behavior models
 
 
-@dataclass(frozen=True)
-class BehaviorModel:
+class BehaviorModel(NamedTuple):
     """Precedence graph over declared events."""
 
     events: dict[str, EventDef]
@@ -238,9 +232,7 @@ class BehaviorModel:
 def build_behavior(events, edges) -> BehaviorModel:
     """Assemble a behavior model; self-loops are rejected, cycles kept
     (check_behavior reports them as warnings)."""
-    by_id: dict[str, EventDef] = {}
-    for ev in events:
-        by_id[ev.id] = ev
+    by_id: dict[str, EventDef] = {ev.id: ev for ev in events}
     seen: set[tuple[str, str]] = set()
     out: list[tuple[str, str]] = []
     for a, b in edges:
@@ -355,8 +347,7 @@ def _find_cycle(succ: dict[str, list[str]]) -> list[str] | None:
 # movement between regions
 
 
-@dataclass(frozen=True)
-class RegionDelta:
+class RegionDelta(NamedTuple):
     """Stage-level difference between two takes of one event."""
 
     entered: frozenset[str]

@@ -26,8 +26,8 @@ parent links from the raw dicts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 
 class ActionKind(Enum):
@@ -166,49 +166,65 @@ class EmptyRegion(ModelError):
     pass
 
 
-@dataclass
-class Thimac:
+class _Record:
+    """Mutable fields, listed in ``_fields`` as a NamedTuple lists its own:
+    a record equals one of its class with equal fields; its repr names them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+
+class Thimac(_Record):
     """A thing/machine: one node of the nesting forest."""
 
-    id: str
-    name: str
-    parent: str | None = None
-    stages: dict[ActionKind, str] = field(default_factory=dict)
-    children: list[str] = field(default_factory=list)
+    __slots__ = _fields = ("id", "name", "parent", "stages", "children")
+
+    def __init__(self, id: str, name: str, parent: str | None = None,
+                 stages: dict | None = None, children: list | None = None) -> None:
+        self.id, self.name, self.parent = id, name, parent
+        self.stages = {} if stages is None else stages
+        self.children = [] if children is None else children
 
 
-@dataclass
-class Stage:
+class Stage(_Record):
     """One generic action slot owned by a thimac."""
 
-    id: str
-    kind: ActionKind
-    owner: str
-    alias: str | None = None
+    __slots__ = _fields = ("id", "kind", "owner", "alias")
+
+    def __init__(self, id: str, kind: ActionKind, owner: str, alias: str | None = None):
+        self.id, self.kind, self.owner, self.alias = id, kind, owner, alias
 
 
-@dataclass
-class Flow:
+class Flow(_Record):
     """Solid arrow: the thing at ``src`` becomes the thing at ``dst``."""
 
-    id: str
-    src: str
-    dst: str
-    carries: str | None = None
-    anchor: int | None = None
+    __slots__ = _fields = ("id", "src", "dst", "carries", "anchor")
+
+    def __init__(self, id: str, src: str, dst: str, carries: str | None = None,
+                 anchor: int | None = None) -> None:
+        self.id, self.src, self.dst = id, src, dst
+        self.carries, self.anchor = carries, anchor
 
 
-@dataclass
-class Trigger:
+class Trigger(_Record):
     """Dashed arrow: activation that starts another machine's flow."""
 
-    id: str
-    src: str
-    dst: str
+    __slots__ = _fields = ("id", "src", "dst")
+
+    def __init__(self, id: str, src: str, dst: str) -> None:
+        self.id, self.src, self.dst = id, src, dst
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A stage set and whether its induced flows and triggers connect it."""
 
     stages: frozenset[str]

@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import bisect
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from .model import ActionKind, StaticModel, anchor_order, reachable
+from .model import ActionKind, StaticModel, _Record, anchor_order, reachable
 from .events import TimeSubthimac
 
 
@@ -64,17 +64,16 @@ class StuckThing(SimulationError):
         self.stage_ref = stage_ref
 
 
-@dataclass
-class ThingInstance:
-    label: str
-    stage: str | None
-    born_at: int
-    entered_at: int
-    resting: bool = False
+class ThingInstance(_Record):
+    __slots__ = _fields = ("label", "stage", "born_at", "entered_at", "resting")
+
+    def __init__(self, label: str, stage: str | None, born_at: int, entered_at: int,
+                 resting: bool = False) -> None:
+        self.label, self.stage, self.resting = label, stage, resting
+        self.born_at, self.entered_at = born_at, entered_at
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """Injections, branch choices, and a tick cap for one run."""
 
     injections: tuple[tuple[int, str, str], ...]  # (tick, thimac id, label)
@@ -82,8 +81,7 @@ class Scenario:
     max_ticks: int = 1000
 
 
-@dataclass(frozen=True)
-class GenericEventInstance:
+class GenericEventInstance(NamedTuple):
     """One thing at one stage for one tick — the atom of a trace."""
 
     thing: str
@@ -92,17 +90,20 @@ class GenericEventInstance:
     time: TimeSubthimac
 
 
-@dataclass(frozen=True)
-class Trace:
-    """Sorted rows and each thing's end state; ``truncated`` marks a run
-    the tick cap stopped with a thing in motion or a birth or awakening due,
-    or one that made more than ``ENTRY_BUDGET`` entries."""
+class Trace(_Record):
+    """Sorted rows, (tick, stage declaration number, thing, stage id, kind)
+    per entry, and each thing's end state; ``truncated`` marks a run the
+    tick cap stopped with a thing in motion or a birth or awakening due, or
+    one that made more than ``ENTRY_BUDGET`` entries.  It has no
+    ``__slots__``: ``entries`` is kept in the instance dict."""
 
-    #: (tick, stage declaration number, thing, stage id, kind) per entry
-    rows: tuple[tuple[int, int, str, str, ActionKind], ...]
-    things: dict[str, ThingInstance]
-    final_tick: int
-    truncated: bool = False
+    _fields = ("rows", "things", "final_tick", "truncated")
+
+    def __init__(self, rows: tuple[tuple[int, int, str, str, ActionKind], ...],
+                 things: dict[str, ThingInstance], final_tick: int,
+                 truncated: bool = False) -> None:
+        self.rows, self.things = rows, things
+        self.final_tick, self.truncated = final_tick, truncated
 
     @cached_property
     def entries(self) -> tuple[GenericEventInstance, ...]:
@@ -219,6 +220,7 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
     }
     # add_stage numbers ids in declaration order: this is numeric id order
     declared = {sid: n for n, sid in enumerate(model.stages)}
+    choices, max_ticks = scenario.choices, scenario.max_ticks
     things: list[ThingInstance] = []
     rows: list[tuple[int, int, str, str, ActionKind]] = []
     births: dict[int, list[tuple[str, str]]] = {}
@@ -255,7 +257,7 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
         sid = moved[1].stage
         occ = departures.get(sid, 0)
         departures[sid] = occ + 1
-        chosen = scenario.choices.get((sid, occ))
+        chosen = choices.get((sid, occ))
         if chosen is None:
             flow = departure[sid]
         else:
@@ -277,7 +279,7 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
     while moving or births or awakenings:
         if not moving:  # skip the idle ticks up to the next event
             t = min([*births, *awakenings])
-        if t >= scenario.max_ticks:
+        if t >= max_ticks:
             break
         # one tick: births, awakenings, then ordinary moves
         movers, moving = moving, []
@@ -325,8 +327,7 @@ class UnknownEventInProjection(SimulationError):
     pass
 
 
-@dataclass(frozen=True)
-class ProjectionResult:
+class ProjectionResult(NamedTuple):
     events: tuple  # EventDef, in chronology order
     uncovered: tuple[str, ...]  # stage refs no declared event covers
 
@@ -340,34 +341,31 @@ def project(model: StaticModel, trace: Trace, events) -> ProjectionResult:
     surviving candidate and start a new run.  Entries no region covers
     at all are reported as uncovered stage references.
     """
-    events_at: dict[str, list] = {}  # stage id -> the events holding it, in order
-    for ev in events:
+    events = tuple(events)
+    held: dict[str, int] = {}  # stage id -> bit i set when events[i] holds it
+    for i, ev in enumerate(events):
         for sid in ev.region:
-            events_at.setdefault(sid, []).append(ev)
+            held[sid] = held.get(sid, 0) | 1 << i
     projected = []
     uncovered: dict[str, str] = {}  # stage id -> its ref
-    candidates: list = []
+    candidates = 0  # bit i set while events[i] covers the whole run so far
     for row in trace.rows:
         sid = row[3]
-        if candidates:
-            narrowed = [ev for ev in candidates if sid in ev.region]
-            if narrowed:
-                candidates = narrowed
-                continue
-            projected.append(candidates[0])
-            candidates = []
-        starters = events_at.get(sid)
-        if starters:
-            candidates = starters
-        elif sid not in uncovered:
+        here = held.get(sid, 0)
+        if candidates & here:
+            candidates &= here
+            continue
+        if candidates:  # the lowest bit is the first-declared candidate
+            projected.append(events[(candidates & -candidates).bit_length() - 1])
+        candidates = here
+        if not here and sid not in uncovered:
             uncovered[sid] = model.stage_ref(sid)
     if candidates:
-        projected.append(candidates[0])
+        projected.append(events[(candidates & -candidates).bit_length() - 1])
     return ProjectionResult(tuple(projected), tuple(uncovered.values()))
 
 
-@dataclass(frozen=True)
-class ConformanceReport:
+class ConformanceReport(NamedTuple):
     ok: bool
     problems: tuple[str, ...]
 

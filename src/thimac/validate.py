@@ -21,16 +21,14 @@ Behavior-graph checks (codes B1-B3) live in :mod:`thimac.events`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .model import ActionKind, StaticModel, legal_successor
 
 Severity = Literal["error", "warning"]
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One finding; ``subject`` names the offending entity and ``line``
     its source line, 0 when unknown."""
 

@@ -1,4 +1,5 @@
-"""A naive tick engine, kept as the oracle for :mod:`thimac.simulate`.
+"""A naive tick engine and projection, kept as the oracle for
+:mod:`thimac.simulate`.
 
 Every tick scans every thing and every lookup scans the model, which makes
 it slow and easy to check by eye.  Tests run it beside
@@ -171,3 +172,27 @@ def run(model: StaticModel, scenario: Scenario, budget: int | None = None) -> Tr
         truncated=_has_pending(state),
     )
 
+
+
+def project(model: StaticModel, trace: Trace, events) -> tuple[tuple, tuple[str, ...]]:
+    """(events, uncovered stage refs) as :func:`thimac.simulate.project`
+    describes them: a run of entries grows while some event's region holds
+    every stage in it, and closes as the first such event in ``events``."""
+
+    def covering(stages: set[str]) -> list:
+        return [ev for ev in events if stages <= ev.region]
+
+    projected, uncovered, stages = [], [], set()
+    for entry in trace.entries:
+        if stages and covering(stages | {entry.stage}):
+            stages.add(entry.stage)
+            continue
+        if stages:
+            projected.append(covering(stages)[0])
+        stages = {entry.stage} if covering({entry.stage}) else set()
+        ref = model.stage_ref(entry.stage)
+        if not stages and ref not in uncovered:
+            uncovered.append(ref)
+    if stages:
+        projected.append(covering(stages)[0])
+    return tuple(projected), tuple(uncovered)

@@ -1,10 +1,15 @@
 """End-to-end command line checks (subprocess level)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thimac
 from thimac import cli as cli_mod
 from thimac import simulate
 from thimac.dsl import parse, serialize
@@ -100,6 +105,42 @@ def test_validate_json_payload_carries_source_lines(cli, tmp_path):
     assert all(d["line"] > 0 for d in toast)
 
 
+#: ``validate --json`` on UNUSED_AND_INWARD, byte for byte
+UNUSED_AND_INWARD_JSON = """\
+[
+  {
+    "code": "V5",
+    "severity": "warning",
+    "subject": "b.create",
+    "message": "stage has no incident flow or trigger (dead potentiality)",
+    "line": 7
+  },
+  {
+    "code": "V5",
+    "severity": "warning",
+    "subject": "b.process",
+    "message": "stage has no incident flow or trigger (dead potentiality)",
+    "line": 8
+  },
+  {
+    "code": "V6",
+    "severity": "warning",
+    "subject": "a.transfer",
+    "message": "transfer stage never crosses toward another machine",
+    "line": 3
+  }
+]
+"""
+
+
+def test_validate_json_bytes_are_pinned(cli, tmp_path):
+    f = tmp_path / "m.tm"
+    f.write_text(UNUSED_AND_INWARD)
+    r = cli("validate", "--json", str(f))
+    assert r.returncode == 0
+    assert r.stdout == UNUSED_AND_INWARD_JSON
+
+
 def test_syntax_error_exits_two(cli, tmp_path):
     f = tmp_path / "broken.tm"
     f.write_text("thimac x { take; }\n")
@@ -150,6 +191,22 @@ def test_version_flag(cli):
     assert r.stdout.strip() == "0.1.0"
 
 
+def test_importing_the_cli_skips_dataclasses_and_inspect():
+    """Every child pays for what ``import thimac.cli`` loads; ``-S`` keeps
+    ``.pth`` files from loading modules first."""
+    src = Path(thimac.__file__).resolve().parent.parent
+    code = (
+        "import sys, thimac.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
+
+
 # ---------------------------------------------------------------------------
 # events
 
@@ -183,6 +240,13 @@ def test_events_encode(cli):
     assert r.stdout == "CRTTRP\n"
 
 
+def test_events_encode_empty_name_exits_four(cli):
+    r = cli("events", TOAST, "--encode", "")
+    assert r.returncode == 4
+    assert r.stdout == ""
+    assert "no event named ''" in r.stderr
+
+
 def test_events_encode_nonlinear_fails(cli):
     r = cli("events", LIB, "--encode", "fill_and_submit_record")
     assert r.returncode == 1
@@ -193,6 +257,12 @@ def test_events_decode(cli):
     r = cli("events", LIB, "--decode", "CRTTRP")
     assert r.returncode == 0
     assert r.stdout == "create release transfer transfer receive process\n"
+
+
+def test_events_decode_empty_code_prints_an_empty_line(cli):
+    r = cli("events", TOAST, "--decode", "")
+    assert r.returncode == 0
+    assert r.stdout == "\n"
 
 
 def test_events_decode_failures(cli):
@@ -430,6 +500,13 @@ def test_export_highlight_fills_region(cli):
     assert r.stdout.count('fillcolor="gold"') == 1
     plain = cli("export", TAKE)
     assert "gold" not in plain.stdout
+
+
+def test_export_highlight_empty_name_exits_four(cli):
+    r = cli("export", TAKE, "--highlight", "")
+    assert r.returncode == 4
+    assert r.stdout == ""
+    assert "no event named ''" in r.stderr
 
 
 def test_export_canonical_round_trip(cli, library):

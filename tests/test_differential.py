@@ -1,6 +1,5 @@
 """The simulator against the naive engine in ``reference_sim``."""
 
-from dataclasses import replace
 from unittest import mock
 
 from hypothesis import HealthCheck, example, given, note, settings
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 import reference_sim
 from thimac import simulate
 from thimac.dsl import parse, serialize
+from thimac.events import EventDef
 from thimac.model import KIND_ORDER, ActionKind, legal_successor, new_model
 from thimac.simulate import StuckThing, load_scenario, render_trace
 
@@ -143,7 +143,7 @@ def test_simulator_matches_the_reference_engine(world):
             cut = simulate.run(model, scenario)
         assert cut.truncated
         assert len(cut.rows) == over.args[0]
-        scenario = replace(scenario, max_ticks=cut.final_tick + 1)
+        scenario = scenario._replace(max_ticks=cut.final_tick + 1)
         want = outcome(reference_sim, model, scenario)
     got = outcome(simulate, model, scenario)
     if want[0] == "stuck":
@@ -153,6 +153,25 @@ def test_simulator_matches_the_reference_engine(world):
     assert render_trace(model, got[4]) == reference_sim.render_trace(model, want[4])
     if cut is not None:
         assert got[4].rows == cut.rows
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(worlds(), st.data())
+def test_projection_matches_the_reference(world, data):
+    """Random regions, overlapping or not, in random declaration order."""
+    model, text = world
+    try:
+        with mock.patch.object(simulate, "ENTRY_BUDGET", 2000):
+            trace = simulate.run(model, load_scenario(model, text))
+    except StuckThing:
+        return
+    regions = st.sets(st.sampled_from(sorted(model.stages)), min_size=1)
+    events = [
+        EventDef(f"e{n}", f"e{n}", frozenset(region))
+        for n, region in enumerate(data.draw(st.lists(regions, max_size=6)))
+    ]
+    got = simulate.project(model, trace, events)
+    assert (got.events, got.uncovered) == reference_sim.project(model, trace, events)
 
 
 def rows_or_stuck(model, scenario):
