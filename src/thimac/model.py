@@ -44,6 +44,10 @@ class ActionKind(Enum):
     TRANSFER = "transfer"
     RECEIVE = "receive"
 
+    #: members are singletons that compare by identity, so an identity hash
+    #: serves; ``Enum.__hash__`` is Python code that every keyed lookup runs
+    __hash__ = object.__hash__
+
     @property
     def letter(self) -> str:
         """One-letter abbreviation; release and receive share ``R``."""
@@ -132,6 +136,10 @@ class UnknownThimac(ModelError):
 
 
 class DuplicateKindInMachine(ModelError):
+    pass
+
+
+class DuplicateAlias(ModelError):
     pass
 
 
@@ -280,7 +288,8 @@ class StaticModel:
     def add_stage(
         self, thimac_id: str, kind: ActionKind, alias: str | None = None
     ) -> str:
-        """Add the ``kind`` stage to a thimac; at most one per kind."""
+        """Add the ``kind`` stage to a thimac; at most one per kind, and an
+        alias names at most one stage of its thimac."""
         thimac = self.thimacs.get(thimac_id)
         if thimac is None:
             raise UnknownThimac(f"unknown thimac {thimac_id!r}")
@@ -288,6 +297,11 @@ class StaticModel:
             raise DuplicateKindInMachine(
                 f"{self.thimac_path(thimac_id)} already has a {kind.value} stage"
             )
+        if alias is not None:
+            if alias in [self.stages[sid].alias for sid in thimac.stages.values()]:
+                raise DuplicateAlias(
+                    f"{self.thimac_path(thimac_id)} already has a stage aliased {alias!r}"
+                )
         sid = self._next_id("s")
         self.stages[sid] = Stage(id=sid, kind=kind, owner=thimac_id, alias=alias)
         thimac.stages[kind] = sid

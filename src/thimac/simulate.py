@@ -21,10 +21,12 @@ The chronology rules, all of them:
   entries.  A run the cap stopped with work pending, or the budget
   stopped, is truncated, and ``thimac simulate`` exits 1 for it.
 
-The engine keeps the things in motion and, per stage, the things resting
-there.  Idle ticks are skipped: with nothing in motion the clock jumps to
-the next birth or awakening.  The trace is bit-for-bit reproducible and
-kept as plain rows; ``Trace.entries`` builds entry objects on first read.
+A run first reads the model into one table row per stage, so an entry
+costs one row lookup.  The engine keeps the things in motion and, per
+stage, the things resting there.  Idle ticks are skipped: with nothing in
+motion the clock jumps to the next birth or awakening.  The trace is
+bit-for-bit reproducible and kept as plain rows; ``Trace.entries`` builds
+entry objects on first read.
 """
 
 from __future__ import annotations
@@ -205,22 +207,36 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
     """Run to quiescence (or the tick cap, or past the entry budget) and
     return the sorted trace.
 
+    ``table`` has a row per stage: its entry, what entering it does, and
+    the entry of its default next stage.  An entry is [stage id,
+    declaration number, kind, whether arrivals rest there, births as
+    (create stage, owner name), wakes]; only a process stage fires
+    triggers.  The default is None at a stage with no way out and at one a
+    ``choose`` line names, the only stages that count departures.  Rows are
+    lists, as tuples freed at the end would stay on CPython's free lists.
     ``moving`` and each stage's ``resting`` list hold (creation number,
     thing) pairs in creation order, the order things move in, which fixes
-    departure counts and birth labels.  ``departure`` holds each stage's
-    default way out; stages with none are absent.
+    departure counts and birth labels.
     """
-    departure = {
-        sid: min(outs, key=anchor_order) for sid, outs in model.flows_from.items()
-    }
-    gates = {
-        g.dst
-        for g in model.triggers.values()
-        if model.stages[g.dst].kind is not ActionKind.CREATE
-    }
-    # add_stage numbers ids in declaration order: this is numeric id order
-    declared = {sid: n for n, sid in enumerate(model.stages)}
     choices, max_ticks = scenario.choices, scenario.max_ticks
+    process, create = ActionKind.PROCESS, ActionKind.CREATE  # enum lookups are slow
+    targets = {g.dst for g in model.triggers.values()}
+    table: dict[str, list] = {}
+    for n, (sid, stage) in enumerate(model.stages.items()):
+        kind, born, woken = stage.kind, [], []
+        for trig in model.triggers_from.get(sid, ()) if kind is process else ():
+            target = model.stages[trig.dst]
+            if target.kind is create:
+                born.append((trig.dst, model.thimacs[target.owner].name))
+            else:
+                woken.append(trig.dst)
+        rests = sid not in model.flows_from or sid in targets and kind is not create
+        table[sid] = [[sid, n, kind, rests, tuple(born), tuple(woken)], None]
+    chosen = {sid for sid, _ in choices}
+    for sid, outs in model.flows_from.items():
+        if sid not in chosen:  # anchor_order is costly, and most stages have one way out
+            flow = min(outs, key=anchor_order) if len(outs) > 1 else outs[0]
+            table[sid][1] = table[flow.dst][0]
     things: list[ThingInstance] = []
     rows: list[tuple[int, int, str, str, ActionKind]] = []
     births: dict[int, list[tuple[str, str]]] = {}
@@ -229,74 +245,57 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
     resting: dict[str, list[tuple[int, ThingInstance]]] = {}
     departures: dict[str, int] = {}
     birth_counts: dict[str, int] = {}
-
-    def enter(moved: tuple[int, ThingInstance], sid: str, t: int) -> None:
-        """Put a thing at a stage for tick t and apply the stage's effects."""
-        thing = moved[1]
-        thing.stage, thing.entered_at = sid, t
-        stage = model.stages[sid]
-        rows.append((t, declared[sid], thing.label, sid, stage.kind))
-        if stage.kind is ActionKind.PROCESS:
-            for trig in model.triggers_from.get(sid, ()):
-                target = model.stages[trig.dst]
-                if target.kind is ActionKind.CREATE:
-                    name = model.thimacs[target.owner].name
-                    n = birth_counts.get(name, 0) + 1
-                    birth_counts[name] = n
-                    births.setdefault(t + 1, []).append((trig.dst, f"{name}-{n}"))
-                else:
-                    awakenings.setdefault(t + 1, []).append(trig.dst)
-        if sid in gates or sid not in departure:
-            thing.resting = True
-            bisect.insort(resting.setdefault(sid, []), moved)
-        else:
-            moving.append(moved)
-
-    def move(moved: tuple[int, ThingInstance], t: int) -> None:
-        """Take one flow out of the thing's stage: the chosen or the default."""
-        sid = moved[1].stage
-        occ = departures.get(sid, 0)
-        departures[sid] = occ + 1
-        chosen = choices.get((sid, occ))
-        if chosen is None:
-            flow = departure[sid]
-        else:
-            flow = model.flows[chosen]
-            if flow.src != sid:
-                ref = model.stage_ref(sid)
-                raise StuckThing(
-                    t,
-                    ref,
-                    f"tick {t}: choice for {ref} occurrence {occ} names flow "
-                    f"{chosen}, which does not leave that stage",
-                )
-        enter(moved, flow.dst, t)
-
     for tick, tid, label in scenario.injections:
-        create_sid = model.thimacs[tid].stages[ActionKind.CREATE]
-        births.setdefault(tick, []).append((create_sid, label))
+        births.setdefault(tick, []).append((model.thimacs[tid].stages[create], label))
     t = 0
     while moving or births or awakenings:
         if not moving:  # skip the idle ticks up to the next event
             t = min([*births, *awakenings])
         if t >= max_ticks:
             break
-        # one tick: births, awakenings, then ordinary moves
-        movers, moving = moving, []
+        # one tick: births, awakenings, then ordinary moves, all entered by
+        # the code below; a thing born now already holds its create stage
+        steps = []
         for sid, label in births.pop(t, ()):
-            thing = ThingInstance(label, None, born_at=t, entered_at=t)
-            things.append(thing)
-            enter((len(things), thing), sid, t)
+            things.append(ThingInstance(label, sid, born_at=t, entered_at=t))
+            steps.append((len(things), things[-1]))
         for sid in awakenings.pop(t, ()):
-            if sid not in departure:
-                continue  # the awakening lapses: nowhere to go
-            here = resting.get(sid, [])
-            resting[sid] = [p for p in here if p[1].entered_at >= t]
-            for sleeper in [p for p in here if p[1].entered_at < t]:
-                sleeper[1].resting = False
-                move(sleeper, t)
-        for mover in movers:
-            move(mover, t)
+            if sid in model.flows_from:  # else the awakening lapses: nowhere to go
+                here = resting.get(sid, [])
+                resting[sid] = [p for p in here if p[1].entered_at >= t]
+                steps += [p for p in here if p[1].entered_at < t]
+        steps, moving = steps + moving, []
+        for moved in steps:
+            thing = moved[1]
+            src = thing.stage
+            if thing.entered_at == t:  # born this tick
+                entry = table[src][0]
+            else:  # take one flow: the chosen or the default
+                entry = table[src][1]
+                if entry is None:
+                    occ = departures.get(src, 0)
+                    departures[src] = occ + 1
+                    fid = choices.get((src, occ))
+                    if fid is None:
+                        fid = min(model.flows_from[src], key=anchor_order).id
+                    elif model.flows[fid].src != src:
+                        ref = model.stage_ref(src)
+                        raise StuckThing(t, ref, f"tick {t}: choice for {ref} occurrence {occ} "
+                                         f"names flow {fid}, which does not leave that stage")
+                    entry = table[model.flows[fid].dst][0]
+            sid, n, kind, rests, born, woken = entry
+            thing.stage, thing.entered_at, thing.resting = sid, t, rests
+            rows.append((t, n, thing.label, sid, kind))
+            if born:
+                for at, name in born:
+                    count = birth_counts[name] = birth_counts.get(name, 0) + 1
+                    births.setdefault(t + 1, []).append((at, f"{name}-{count}"))
+            if woken:
+                awakenings.setdefault(t + 1, []).extend(woken)
+            if rests:
+                bisect.insort(resting.setdefault(sid, []), moved)
+            else:
+                moving.append(moved)
         moving.sort()
         t += 1
         if len(rows) > ENTRY_BUDGET:

@@ -110,6 +110,11 @@ START = "inject 0 z old\ninject 1 x young\nmax 40\n"
 WAKE_TOGETHER = START + "inject 4 y bell\nchoose x.process 0 2\n"
 # "old" walks into x.release as "young" is woken into it, at tick 5
 MEET_AFTER_WAKING = START + "inject 3 y bell\nchoose x.receive 0 6\nchoose x.release 0 4\n"
+# the sleepers woken at tick 6 meet a choice naming x.receive's flow: stuck
+WAKE_INTO_BAD_CHOICE = START + "inject 4 y bell\nchoose x.process 0 5\n"
+# as above, and "late" leaves z.create by a bad choice in the same tick; an
+# awakening goes before a move, so the run is stuck at x.process
+WAKE_BEFORE_MOVE = WAKE_INTO_BAD_CHOICE + "inject 5 z late\nchoose z.create 1 5\n"
 
 
 def outcome(engine, model, scenario, **kwargs):
@@ -129,6 +134,8 @@ def outcome(engine, model, scenario, **kwargs):
 @given(worlds())
 @example((QUEUE, WAKE_TOGETHER))
 @example((QUEUE, MEET_AFTER_WAKING))
+@example((QUEUE, WAKE_INTO_BAD_CHOICE))
+@example((QUEUE, WAKE_BEFORE_MOVE))
 def test_simulator_matches_the_reference_engine(world):
     model, text = world
     note(serialize(model))
@@ -184,10 +191,11 @@ def rows_or_stuck(model, scenario):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(worlds())
 def test_runs_keep_the_engine_invariants(world):
-    """At most one entry per thing per tick, births only at create stages,
-    each step along a flow out of the thing's previous stage, a wait of
-    more than one tick only at a gate, and identical rows from a second
-    run of the same scenario."""
+    """Sorted rows that carry their stage's declaration number, at most one
+    entry per thing per tick, births only at create stages, each step along
+    a flow out of the thing's previous stage, a wait of more than one tick
+    only at a gate, and identical rows from a second run of the same
+    scenario."""
     model, text = world
     scenario = load_scenario(model, text)
     with mock.patch.object(simulate, "ENTRY_BUDGET", 2000):
@@ -195,6 +203,9 @@ def test_runs_keep_the_engine_invariants(world):
         assert rows_or_stuck(model, scenario) == rows
     if isinstance(rows, str):
         return
+    assert rows == tuple(sorted(rows))
+    declared = {sid: n for n, sid in enumerate(model.stages)}
+    assert all(n == declared[sid] for _, n, _, sid, _ in rows)
     assert len({(tick, thing) for tick, _, thing, _, _ in rows}) == len(rows)
     born = {}
     for tick, _, thing, _, _ in rows:  # rows are sorted by tick

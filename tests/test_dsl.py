@@ -107,6 +107,16 @@ def test_duplicate_stage_kind_reported_with_position():
     assert diag.line == 3
 
 
+def test_duplicate_alias_reported_at_the_stage_keyword():
+    """An alias is local to its thimac, so it names one stage there."""
+    result = parse("thimac a { process as x; release as x; transfer; }")
+    assert [(d.message, d.line, d.column) for d in result.diagnostics] == [
+        ("a already has a stage aliased 'x'", 1, 26)
+    ]
+    assert result.model is None
+    assert parse("thimac a { process as x; thimac b { release as x; } }").ok
+
+
 def test_unknown_stage_reference_in_flow():
     result = parse("thimac a { create; release; }\nflow a.create -> b.receive;")
     assert not result.ok

@@ -8,6 +8,7 @@ from thimac.dsl import _nesting
 from thimac.model import (
     ActionKind,
     DottedName,
+    DuplicateAlias,
     DuplicateKindInMachine,
     DuplicateSiblingName,
     EmptyRegion,
@@ -250,8 +251,8 @@ def test_outgoing_flows_declaration_order():
 @st.composite
 def built_models(draw):
     """A random model built only through ``add_*``: nesting, names with and
-    without dots (a dotted one is rejected), aliases, anchored and
-    unanchored flows, triggers."""
+    without dots (a dotted one is rejected), aliases (one used twice in a
+    thimac is rejected), anchored and unanchored flows, triggers."""
     m = new_model()
     tids: list[str] = []
     for _ in range(draw(st.integers(1, 8))):
@@ -267,8 +268,14 @@ def built_models(draw):
             pass
     stages: list[str] = []
     for tid in tids:
+        used = set()
         for kind in draw(st.lists(st.sampled_from(KIND_ORDER), unique=True)):
             alias = draw(st.sampled_from([None, "x", "y", "create"]))
+            if alias is not None and alias in used:
+                with pytest.raises(DuplicateAlias):
+                    m.add_stage(tid, kind, alias)
+                continue
+            used.add(alias)
             stages.append(m.add_stage(tid, kind, alias))
     if stages:
         ends = st.sampled_from(stages)
@@ -319,5 +326,7 @@ def test_tables_match_a_derivation_from_the_raw_dicts(m):
         assert m.thimac_at.get(path(tid)) == tid
         for other in m.thimacs:
             assert m.is_ancestor(other, tid) == (other in ancestors(tid))
-    for sid in m.stages:
+    for sid, stage in m.stages.items():
         assert m.resolve_stage_ref(m.stage_ref(sid)) == sid
+        if stage.alias not in (None, "create"):  # a kind keyword resolves as the kind
+            assert m.resolve_stage_ref(f"{m.thimac_path(stage.owner)}.{stage.alias}") == sid
