@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import events as events_mod
 from . import simulate as simulate_mod
@@ -46,7 +45,8 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8", errors="replace")
+        with open(path, encoding="utf-8", errors="replace") as f:
+            return f.read()
     except OSError as exc:
         print(f"thimac: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(4)

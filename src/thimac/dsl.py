@@ -26,14 +26,16 @@ decimal digit counts, so ``٣`` reads as 3, while digit-like characters
 that are not decimal, such as ``²``, are unexpected characters.
 
 Two readers share the work.  The statement reader matches one regular
-expression per whole statement and builds the model as it goes; it takes
-well-formed documents (blanks anywhere a token boundary allows them,
-comments only between statements, labels without escapes) and declines
-anything else, including every document that needs a diagnostic.  The
-token parser then reads the document from the start, so every parse
-diagnostic comes from it alone.  Both fill the same pending flows,
-events and behaviors, which one late resolution step turns into the
-result, so a document reads the same whichever reader takes it.
+expression per whole statement; it takes well-formed documents (blanks
+anywhere a token boundary allows them, comments only between statements,
+labels without escapes) and declines anything else.  It declares names,
+stages, thimacs and time intervals through the token parser's own
+methods, which check reserved words, record source positions and turn
+model errors into diagnostics, and it hands over on the first diagnostic
+they make.  The token parser then reads the document from the start, so
+every parse diagnostic comes from it alone.  Both fill the same pending
+flows, events and behaviors, which one late resolution step turns into
+the result, so a document reads the same whichever reader takes it.
 
 Parsing never raises for bad input: every problem becomes a
 ParseDiagnostic with a 1-based line and column, and a document with any
@@ -277,12 +279,35 @@ class _Parser:
                 self.sync(";", "}")
 
     def parse_name(self, what: str) -> _Token:
-        tok = self.expect("ident", what)
+        return self.named(self.expect("ident", what), what)
+
+    # -- declarations, shared with the statement reader and resolve -------
+
+    def named(self, tok: _Token, what: str) -> _Token:
+        """``tok`` if it may name a ``what``; a reserved word fails."""
         if tok.value in RESERVED_WORDS:
             article = "an" if what[0] in "aeiou" else "a"
-            message = f"{tok.value!r} is a reserved word and cannot name {article} {what}"
-            self.fail(message, tok)
+            self.fail(f"{tok.value!r} is a reserved word and cannot name {article} {what}", tok)
         return tok
+
+    def declare(self, add, tok: _Token, *args) -> str | None:
+        """Call a model ``add_*``: the new entity's origin is ``tok``, and a
+        ModelError is a diagnostic there; returns the id, or None."""
+        try:
+            eid = add(*args)
+        except ModelError as exc:
+            self.error(str(exc), tok)
+            return None
+        self.model.origin[eid] = (tok.line, tok.column)
+        return eid
+
+    def interval(self, lo: _Token, hi: _Token) -> TimeSubthimac | None:
+        """``time lo..hi``, or None with the bad interval reported at ``lo``."""
+        try:
+            return TimeSubthimac(int(lo.value), int(hi.value))
+        except ValueError as exc:
+            self.error(str(exc), lo)
+            return None
 
     def parse_thimac(self) -> None:
         """A top-level thimac block with everything nested inside it.
@@ -327,12 +352,9 @@ class _Parser:
         try:
             name = self.parse_name("thimac")
             if parent is not None or not blocks:
-                tid = self.model.add_thimac(name.value, parent)
-                self.model.origin[tid] = (name.line, name.column)
+                tid = self.declare(self.model.add_thimac, name, name.value, parent)
         except _Skip:
             pass  # a bad name still opens a block, which builds nothing
-        except ModelError as exc:
-            self.error(str(exc), name)
         self.expect("{", "'{'")
         blocks.append((kw, tid))
 
@@ -347,11 +369,7 @@ class _Parser:
             self.end()
         finally:
             if owner is not None:
-                try:
-                    sid = self.model.add_stage(owner, _KINDS[kw.value], alias)
-                    self.model.origin[sid] = (kw.line, kw.column)
-                except ModelError as exc:
-                    self.error(str(exc), kw)
+                self.declare(self.model.add_stage, kw, owner, _KINDS[kw.value], alias)
 
     def parse_stage_ref(self) -> str:
         """Collect a dotted reference; returns its text, resolution later."""
@@ -405,11 +423,7 @@ class _Parser:
             self.advance()
             lo = self.expect("int", "a start tick")
             self.expect("..", "'..'")
-            hi = self.expect("int", "an end tick")
-            try:
-                time = TimeSubthimac(int(lo.value), int(hi.value))
-            except ValueError as exc:
-                self.error(str(exc), lo)
+            time = self.interval(lo, self.expect("int", "an end tick"))
         self.expect("}", "'}'")
         self.events.append((name, refs, time))
 
@@ -450,16 +464,10 @@ class _Parser:
             if src is None or dst is None:
                 missing = src_ref if src is None else dst_ref
                 self.error(f"unknown stage reference {missing!r}", kw)
-                continue
-            try:
-                if kw.value == "flow":
-                    aid = model.add_flow(src, dst, carries, anchor)
-                else:
-                    aid = model.add_trigger(src, dst)
-            except ModelError as exc:
-                self.error(str(exc), kw)
-                continue
-            model.origin[aid] = (kw.line, kw.column)
+            elif kw.value == "flow":
+                self.declare(model.add_flow, kw, src, dst, carries, anchor)
+            else:
+                self.declare(model.add_trigger, kw, src, dst)
 
         defined: dict[str, EventDef] = {}
         for name, refs, time in self.events:
@@ -541,10 +549,10 @@ def _read_statements(text: str) -> _Parser | None:
     """Read a well-formed document a statement at a time, or return None.
 
     Fills a ``_Parser`` as ``parse_document`` would, tokens at the same
-    lines and columns, so ``resolve`` finishes either.  Anything this
-    reader does not recognise, or that would need a diagnostic (a
-    reserved name, a ``ModelError``, a bad time interval), returns None,
-    and the token parser reads the document and reports on it.
+    lines and columns, and declares through the same ``_Parser`` methods,
+    so ``resolve`` finishes either.  Anything this reader does not
+    recognise, and the first statement that needs a diagnostic, returns
+    None, and the token parser reads the document and reports on it.
     """
     parser = _Parser([], [])
     model = parser.model
@@ -554,7 +562,7 @@ def _read_statements(text: str) -> _Parser | None:
     line, seen = 1, 0  # the line that text[seen] is on
 
     def token(group: str, value: str | None = None) -> _Token:
-        """The ident token at ``group``'s start; never called backwards."""
+        """An ident token at ``group``'s start; never called backwards."""
         nonlocal line, seen
         p = m.start(group)
         line += text.count("\n", seen, p)
@@ -563,72 +571,55 @@ def _read_statements(text: str) -> _Parser | None:
         return new(_Token, ("ident", value or m[group], line, column))
 
     pos = 0
-    while m := _STATEMENT_RE.match(text, pos):
-        pos = m.end()
-        kind = m.lastgroup
-        if kind == "edge":
-            if behavior is None:
-                return None
-            behavior[1].append((token("pred"), token("succ")))
-        elif kind == "close":
-            if behavior is not None:
-                parser.behaviors.append(behavior)
-                behavior = None
-            elif blocks:
-                blocks.pop()
-            else:
-                return None
-        elif behavior is not None:
-            return None
-        elif kind == "stage":
-            alias = m["alias"]
-            if not blocks or alias in RESERVED_WORDS:
-                return None
-            kw = token("action")
-            try:
-                sid = model.add_stage(blocks[-1], _KINDS[kw.value], alias)
-            except ModelError:
-                return None
-            model.origin[sid] = (kw.line, kw.column)
-        elif kind == "thimac":
-            name = token("thimac_name")
-            if name.value in RESERVED_WORDS:
-                return None
-            try:
-                tid = model.add_thimac(name.value, blocks[-1] if blocks else None)
-            except ModelError:
-                return None
-            model.origin[tid] = (name.line, name.column)
-            blocks.append(tid)
-        elif blocks:
-            return None
-        elif kind == "flow" or kind == "trigger":
-            anchor = m["anchor"]
-            parser.arrows.append(_PendingArrow(
-                token(kind, kind),
-                m[kind + "_src"],
-                m[kind + "_dst"],
-                m["carries"],
-                None if anchor is None else int(anchor),
-            ))
-        elif kind == "event":
-            name = token("event_name")
-            if name.value in RESERVED_WORDS:
-                return None
-            time: TimeSubthimac | None = None
-            if m["lo"] is not None:
-                try:
-                    time = TimeSubthimac(int(m["lo"]), int(m["hi"]))
-                except ValueError:
+    try:
+        while not parser.diags and (m := _STATEMENT_RE.match(text, pos)):
+            pos = m.end()
+            kind = m.lastgroup
+            if kind == "edge":
+                if behavior is None:
                     return None
-            refs = [ref.strip(" \t\r\n") for ref in m["refs"].split(",")]
-            parser.events.append((name, refs, time))
-        else:  # behavior
-            name = token("behavior_name")
-            if name.value in RESERVED_WORDS:
+                behavior[1].append((token("pred"), token("succ")))
+            elif kind == "close":
+                if behavior is not None:
+                    parser.behaviors.append(behavior)
+                    behavior = None
+                elif blocks:
+                    blocks.pop()
+                else:
+                    return None
+            elif behavior is not None:
                 return None
-            behavior = (name, [])
-    if blocks or behavior is not None or not _END_RE.match(text, pos):
+            elif kind == "stage":
+                if not blocks:
+                    return None
+                kw = token("action")
+                alias = m["alias"] and parser.named(token("alias"), "stage alias").value
+                parser.declare(model.add_stage, kw, blocks[-1], _KINDS[kw.value], alias)
+            elif kind == "thimac":
+                name = parser.named(token("thimac_name"), "thimac")
+                parent = blocks[-1] if blocks else None
+                blocks.append(parser.declare(model.add_thimac, name, name.value, parent))
+            elif blocks:
+                return None
+            elif kind == "flow" or kind == "trigger":
+                anchor = m["anchor"]
+                parser.arrows.append(_PendingArrow(
+                    token(kind, kind),
+                    m[kind + "_src"],
+                    m[kind + "_dst"],
+                    m["carries"],
+                    None if anchor is None else int(anchor),
+                ))
+            elif kind == "event":
+                name = parser.named(token("event_name"), "event")
+                time = m["lo"] and parser.interval(token("lo"), token("hi"))
+                refs = [ref.strip(" \t\r\n") for ref in m["refs"].split(",")]
+                parser.events.append((name, refs, time))
+            else:  # behavior
+                behavior = (parser.named(token("behavior_name"), "behavior"), [])
+    except _Skip:
+        return None
+    if parser.diags or blocks or behavior is not None or not _END_RE.match(text, pos):
         return None
     return parser
 

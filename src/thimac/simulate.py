@@ -36,7 +36,7 @@ import re
 from functools import cached_property
 from typing import NamedTuple
 
-from .model import ActionKind, StaticModel, _Record, anchor_order, reachable
+from .model import _C, _P, ActionKind, StaticModel, _Record, anchor_order, reachable
 from .events import TimeSubthimac
 
 
@@ -140,7 +140,7 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
     birth_names = {  # the owners of the create stages triggers lead to
         model.thimacs[target.owner].name
         for target in (model.stages[g.dst] for g in model.triggers.values())
-        if target.kind is ActionKind.CREATE
+        if target.kind is _C
     }
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -156,7 +156,7 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
             tid = model.thimac_at.get(toks[2])
             if tid is None:
                 raise ScenarioError(f"unknown thimac {toks[2]!r}", lineno)
-            if ActionKind.CREATE not in model.thimacs[tid].stages:
+            if _C not in model.thimacs[tid].stages:
                 raise ScenarioError(
                     f"thimac {toks[2]!r} has no create stage to inject at", lineno
                 )
@@ -219,18 +219,17 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
     departure counts and birth labels.
     """
     choices, max_ticks = scenario.choices, scenario.max_ticks
-    process, create = ActionKind.PROCESS, ActionKind.CREATE  # enum lookups are slow
     targets = {g.dst for g in model.triggers.values()}
     table: dict[str, list] = {}
     for n, (sid, stage) in enumerate(model.stages.items()):
         kind, born, woken = stage.kind, [], []
-        for trig in model.triggers_from.get(sid, ()) if kind is process else ():
+        for trig in model.triggers_from.get(sid, ()) if kind is _P else ():
             target = model.stages[trig.dst]
-            if target.kind is create:
+            if target.kind is _C:
                 born.append((trig.dst, model.thimacs[target.owner].name))
             else:
                 woken.append(trig.dst)
-        rests = sid not in model.flows_from or sid in targets and kind is not create
+        rests = sid not in model.flows_from or sid in targets and kind is not _C
         table[sid] = [[sid, n, kind, rests, tuple(born), tuple(woken)], None]
     chosen = {sid for sid, _ in choices}
     for sid, outs in model.flows_from.items():
@@ -246,7 +245,7 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
     departures: dict[str, int] = {}
     birth_counts: dict[str, int] = {}
     for tick, tid, label in scenario.injections:
-        births.setdefault(tick, []).append((model.thimacs[tid].stages[create], label))
+        births.setdefault(tick, []).append((model.thimacs[tid].stages[_C], label))
     t = 0
     while moving or births or awakenings:
         if not moving:  # skip the idle ticks up to the next event
@@ -261,9 +260,7 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
             steps.append((len(things), things[-1]))
         for sid in awakenings.pop(t, ()):
             if sid in model.flows_from:  # else the awakening lapses: nowhere to go
-                here = resting.get(sid, [])
-                resting[sid] = [p for p in here if p[1].entered_at >= t]
-                steps += [p for p in here if p[1].entered_at < t]
+                steps += resting.pop(sid, ())
         steps, moving = steps + moving, []
         for moved in steps:
             thing = moved[1]

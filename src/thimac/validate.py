@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple
 
-from .model import ActionKind, StaticModel, legal_successor
+from .model import _T, ActionKind, StaticModel, legal_successor
 
 Severity = Literal["error", "warning"]
 
@@ -143,7 +143,7 @@ def validate(model: StaticModel) -> list[Diagnostic]:
                 )
             )
         if (
-            stage.kind is ActionKind.TRANSFER
+            stage.kind is _T
             and stage.owner not in cyclic
             and sid not in faces_outside
         ):

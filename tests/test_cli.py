@@ -193,11 +193,12 @@ def test_version_flag(cli):
 
 def test_importing_the_cli_skips_dataclasses_and_inspect():
     """Every child pays for what ``import thimac.cli`` loads; ``-S`` keeps
-    ``.pth`` files from loading modules first."""
+    ``.pth`` files from loading modules first.  ``pathlib`` brings in
+    ``urllib.parse`` and ``ipaddress``."""
     src = Path(thimac.__file__).resolve().parent.parent
     code = (
         "import sys, thimac.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     r = subprocess.run(

@@ -218,6 +218,21 @@ def test_every_form_is_read_and_every_blank_matters():
         assert outcome(parse(text)) == outcome(token_parse(text)), repr(text)
 
 
+def test_flows_and_triggers_record_their_keywords_position():
+    """``model.origin`` holds each flow's and trigger's keyword position,
+    whichever reader takes the document."""
+    text = (
+        "thimac a { create; process; release; }\n"
+        "  flow a.create -> a.process;\n"
+        "   trigger a.process => a.create;\n"
+    )
+    assert dsl._read_statements(text) is not None
+    for result in (parse(text), token_parse(text)):
+        (flow,), (trigger,) = result.model.flows, result.model.triggers
+        assert result.model.origin[flow] == (2, 3)
+        assert result.model.origin[trigger] == (3, 4)
+
+
 def _load_workloads():
     """``perfbench/workloads.py``, imported without putting perfbench on the path."""
     spec = importlib.util.spec_from_file_location(
