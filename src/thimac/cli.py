@@ -46,7 +46,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
-            return f.read()
+            return f.read().removeprefix("\ufeff")  # drop a UTF-8 byte-order mark
     except OSError as exc:
         print(f"thimac: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(4)
@@ -71,8 +71,7 @@ def _check_behavior(result: ParseResult, name: str):
     )
 
 
-def cmd_validate(args) -> int:
-    result = _parse_file(args.model)
+def cmd_validate(args, result: ParseResult) -> int:
     diags = validate(result.model)
     for name in result.behaviors:
         diags += _check_behavior(result, name)
@@ -97,8 +96,7 @@ def _event_by_name(result: ParseResult, name: str):
     raise SystemExit(4)
 
 
-def cmd_events(args) -> int:
-    result = _parse_file(args.model)
+def cmd_events(args, result: ParseResult) -> int:
     model = result.model
     if args.encode is not None:
         ev = _event_by_name(result, args.encode)
@@ -140,8 +138,7 @@ def _pick_behavior(result: ParseResult, name: str | None):
     return None, None
 
 
-def cmd_behavior(args) -> int:
-    result = _parse_file(args.model)
+def cmd_behavior(args, result: ParseResult) -> int:
     name, behavior = _pick_behavior(result, args.name)
     if behavior is None:
         print(
@@ -159,8 +156,8 @@ def cmd_behavior(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    result = _parse_file(args.model)
+def cmd_simulate(args, result: ParseResult) -> int:
+    name, behavior = _pick_behavior(result, args.behavior)
     model = result.model
     try:
         scenario = load_scenario(model, _read(args.scenario))
@@ -189,7 +186,6 @@ def cmd_simulate(args) -> int:
     if trace.truncated:
         print(f"thimac: run hit the tick cap {scenario.max_ticks}", file=sys.stderr)
         return 1
-    name, behavior = _pick_behavior(result, args.behavior)
     if behavior is None:
         return 0
     try:
@@ -205,8 +201,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_export(args) -> int:
-    result = _parse_file(args.model)
+def cmd_export(args, result: ParseResult) -> int:
     if args.canonical:
         sys.stdout.write(serialize(result.model, result.events, result.behaviors))
         return 0
@@ -267,7 +262,7 @@ def build_parser() -> _ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _parse_file(args.model))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 4

@@ -526,7 +526,7 @@ _STATEMENT_RE = re.compile(
     {_GAP}(?:
       (?P<thimac>thimac{_B}+(?P<thimac_name>{_NAME_PAT}){_B}*\{{)
     | (?P<close>\}})
-    | (?P<stage>(?P<action>create|process|release|transfer|receive)
+    | (?P<stage>(?P<action>{"|".join(_KINDS)})
         (?:{_B}+as{_B}+(?P<alias>{_NAME_PAT}))?{_B}*;)
     | (?P<flow>flow{_B}+(?P<flow_src>{_REF_PAT}){_B}*->{_B}*(?P<flow_dst>{_REF_PAT})
         (?:{_B}+carries{_B}*"(?P<carries>[^"\\\n]*)")?

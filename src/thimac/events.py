@@ -89,11 +89,9 @@ def define_event(
 # ---------------------------------------------------------------------------
 # letter codec
 
+#: letter -> every kind it stands for, the inverse of ``ActionKind.letter``
 _DECODINGS: dict[str, tuple[ActionKind, ...]] = {
-    "C": (ActionKind.CREATE,),
-    "P": (ActionKind.PROCESS,),
-    "T": (ActionKind.TRANSFER,),
-    "R": (ActionKind.RELEASE, ActionKind.RECEIVE),
+    k.letter: tuple(j for j in ActionKind if j.letter == k.letter) for k in ActionKind
 }
 
 

@@ -57,23 +57,11 @@ class ActionKind(Enum):
         return self.value
 
 
-_LETTERS = {
-    ActionKind.CREATE: "C",
-    ActionKind.PROCESS: "P",
-    ActionKind.RELEASE: "R",
-    ActionKind.TRANSFER: "T",
-    ActionKind.RECEIVE: "R",
-}
+_LETTERS = {kind: kind.value[0].upper() for kind in ActionKind}  # its initial
 _KINDS = {kind.value: kind for kind in ActionKind}  # by name
 
-#: Canonical ordering for stages inside one machine.
-KIND_ORDER = (
-    ActionKind.CREATE,
-    ActionKind.PROCESS,
-    ActionKind.RELEASE,
-    ActionKind.TRANSFER,
-    ActionKind.RECEIVE,
-)
+#: Canonical ordering for stages inside one machine: the declaration order.
+KIND_ORDER = tuple(ActionKind)
 
 _C = ActionKind.CREATE
 _P = ActionKind.PROCESS

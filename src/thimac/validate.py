@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple
 
-from .model import _T, ActionKind, StaticModel, legal_successor
+from .model import _P, _RCV, _REL, _T, ActionKind, StaticModel, legal_successor
 
 Severity = Literal["error", "warning"]
 
@@ -222,21 +222,15 @@ def default_lexicon() -> VerbLexicon:
     thing without making a new one map to a bare processing step.
     """
     lex = VerbLexicon()
-    rel, tr, rcv, pr = (
-        ActionKind.RELEASE,
-        ActionKind.TRANSFER,
-        ActionKind.RECEIVE,
-        ActionKind.PROCESS,
-    )
-    handoff = [("source", rel), ("source", tr), ("sink", tr), ("sink", rcv)]
+    handoff = [("source", _REL), ("source", _T), ("sink", _T), ("sink", _RCV)]
     lex.register("take", handoff)
-    lex.register("put", [("agent", rel), ("agent", tr), ("sink", tr), ("sink", rcv)])
-    lex.register("spread", [("agent", pr)])
-    lex.register("fold", [("agent", pr)])
+    lex.register("put", [("agent", _REL), ("agent", _T), ("sink", _T), ("sink", _RCV)])
+    lex.register("spread", [("agent", _P)])
+    lex.register("fold", [("agent", _P)])
     lex.register("sell", handoff)
     lex.register("give", handoff)
-    lex.register("change", [("agent", pr)])
-    lex.register("display", [("agent", rel)])
-    lex.register("clean", [("agent", pr)])
-    lex.register("break", [("agent", pr)])
+    lex.register("change", [("agent", _P)])
+    lex.register("display", [("agent", _REL)])
+    lex.register("clean", [("agent", _P)])
+    lex.register("break", [("agent", _P)])
     return lex

@@ -447,6 +447,13 @@ def test_simulate_tick_cap_exits_one_without_a_verdict(cli, tmp_path):
     assert r.stderr == "thimac: run hit the tick cap 7\n"
 
 
+def test_simulate_unknown_behavior_exits_four_before_any_output(cli):
+    r = cli("simulate", LIB, "corpus/scenarios/add_new_book.scn", "--behavior", "nope")
+    assert r.returncode == 4
+    assert r.stdout == ""
+    assert r.stderr == "thimac: no behavior named 'nope'\n"
+
+
 def test_simulate_nonconforming_trace_exits_three(cli, tmp_path):
     f = tmp_path / "back.tm"
     f.write_text(
@@ -520,6 +527,32 @@ def test_export_canonical_round_trip(cli, library):
 
 # ---------------------------------------------------------------------------
 # usage
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "toast.tm"],
+        ["events", "toast.tm"],
+        ["behavior", "toast.tm"],
+        ["simulate", "toast.tm", "toast.scn"],
+        ["simulate", "toast.tm", "toast.scn", "--trace"],
+        ["export", "toast.tm", "--canonical"],
+    ],
+    ids=" ".join,
+)
+def test_a_leading_byte_order_mark_is_ignored(argv, tmp_path, monkeypatch, capsys):
+    root = Path(__file__).resolve().parent.parent
+    outputs = []
+    for bom in ("", "\ufeff"):
+        copies = tmp_path / f"bom{len(bom)}"
+        copies.mkdir()
+        for src in (TOAST, "corpus/scenarios/toast.scn"):
+            text = (root / src).read_text(encoding="utf-8")
+            (copies / Path(src).name).write_text(bom + text, encoding="utf-8")
+        monkeypatch.chdir(copies)
+        outputs.append((cli_mod.main(argv), *capsys.readouterr()))
+    assert outputs[1] == outputs[0]
 
 
 def test_module_docstring_lists_only_real_options(capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from thimac.dsl import parse
 from thimac.events import (
     BehaviorModel,
     DisconnectedRegion,
@@ -112,6 +113,31 @@ def test_fork_is_not_linear():
     m.add_flow(c, p)
     m.add_flow(c, r)
     ev = define_event(m, "forked", [c, p, r])
+    with pytest.raises(NonLinearRegion):
+        event_action_sequence(m, ev)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(
+            "thimac a { create; release; transfer; receive; }\n"
+            "flow a.create -> a.release; flow a.release -> a.transfer;\n"
+            "flow a.transfer -> a.receive; flow a.receive -> a.release;",
+            id="the chain runs into a loop",
+        ),
+        pytest.param(
+            "thimac a { create; process; }\nthimac b { release; transfer; receive; }\n"
+            "flow a.create -> a.process;\n"
+            "flow b.release -> b.transfer; flow b.transfer -> b.receive;\n"
+            "flow b.receive -> b.release;\ntrigger a.process => b.release;",
+            id="a trigger ties a chain to a loop",
+        ),
+    ],
+)
+def test_a_region_holding_a_flow_loop_is_not_linear(text):
+    m = parse(text).model
+    ev = define_event(m, "whole", list(m.stages))
     with pytest.raises(NonLinearRegion):
         event_action_sequence(m, ev)
 

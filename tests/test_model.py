@@ -18,6 +18,7 @@ from thimac.model import (
     SelfTrigger,
     UnknownParent,
     UnknownStage,
+    UnknownThimac,
     UnpairedBoundaryCrossing,
     anchor_order,
     legal_successor,
@@ -141,9 +142,13 @@ def test_unknown_parent_and_stage():
     with pytest.raises(UnknownParent):
         m.add_thimac("x", "t999")
     a = m.add_thimac("a")
+    with pytest.raises(UnknownThimac):
+        m.add_stage("t999", ActionKind.CREATE)
     c = m.add_stage(a, ActionKind.CREATE)
     with pytest.raises(UnknownStage):
         m.add_flow(c, "s999")
+    with pytest.raises(UnknownStage):
+        m.add_trigger("s999", c)
 
 
 def test_self_trigger_rejected():

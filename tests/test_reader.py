@@ -183,11 +183,22 @@ A = "thimac a { create; release; }\n"
         pytest.param("thimac a { create;", id="unclosed block"),
         pytest.param(A + "}", id="stray '}'"),
         pytest.param(A + "flow a . create -> a.release;", id="blanks in a reference"),
+        pytest.param(A + "behavior b { flow a.create -> a.release; }", id="flow in a behavior"),
     ],
 )
 def test_the_reader_declines_and_the_token_parser_decides(text):
     assert dsl._read_statements(text) is None
     assert outcome(parse(text)) == outcome(token_parse(text))
+
+
+def test_a_second_behavior_of_one_name_is_reported_by_both_readers():
+    text = A + "event e { region [a.create] }\nbehavior k { }\nbehavior k { }\n"
+    assert dsl._read_statements(text) is not None
+    for result in (parse(text), token_parse(text)):
+        assert [(d.message, d.line, d.column) for d in result.diagnostics] == [
+            ("behavior 'k' is already declared", 4, 10)
+        ]
+        assert result.model is None
 
 
 #: Every statement form, with every optional part.

@@ -107,6 +107,21 @@ def test_v4_nesting_cycle_found_in_raw_model():
     assert [(d.code, d.subject) for d in diags] == [("V4", "a"), ("V4", "b")]
 
 
+def test_flows_inside_a_v4_cycle_get_no_succession_check():
+    from thimac.model import Flow
+
+    m = new_model()
+    a = m.add_thimac("a")
+    b = m.add_thimac("b", a)
+    c = m.add_stage(a, ActionKind.CREATE)
+    t = m.add_stage(b, ActionKind.TRANSFER)
+    m.flows["f99"] = Flow(id="f99", src=c, dst=t)  # V2 while b sits under a
+    assert codes(validate(m)) == ["V2"]
+    m.thimacs[a].parent = b
+    diags = validate(m)
+    assert [(d.code, d.subject) for d in diags] == [("V4", "a"), ("V4", "b")]
+
+
 def test_v5_untouched_stage_is_a_warning():
     m = hop_model()
     b = m.thimac_at.get("b")
