@@ -46,7 +46,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
-            return f.read().removeprefix("\ufeff")  # drop a UTF-8 byte-order mark
+            return f.read()
     except OSError as exc:
         print(f"thimac: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(4)

@@ -625,12 +625,12 @@ def _read_statements(text: str) -> _Parser | None:
 
 
 def parse(doc: SourceDocument | str) -> ParseResult:
-    """Parse one document; never raises on malformed input."""
-    if isinstance(doc, str):
-        doc = SourceDocument(doc)
-    parser = _read_statements(doc.text)
+    """Parse one document; never raises on malformed input.  One leading
+    byte-order mark is dropped."""
+    text = (doc if isinstance(doc, str) else doc.text).removeprefix("\ufeff")
+    parser = _read_statements(text)
     if parser is None:  # not well-formed: the token parser says why
-        parser = _Parser(*_tokenize(doc.text))
+        parser = _Parser(*_tokenize(text))
         parser.parse_document()
     events, behaviors = parser.resolve()
     if any(d.severity == "error" for d in parser.diags):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .model import ActionKind, StaticModel, legal_successor, reachable
-from .validate import Diagnostic
+from .validate import Diagnostic, _finding
 
 
 class EventError(Exception):
@@ -229,7 +229,7 @@ class BehaviorModel(NamedTuple):
 
 def build_behavior(events, edges) -> BehaviorModel:
     """Assemble a behavior model; self-loops are rejected, cycles kept
-    (check_behavior reports them as warnings)."""
+    (check_behavior reports them as B3)."""
     by_id: dict[str, EventDef] = {ev.id: ev for ev in events}
     seen: set[tuple[str, str]] = set()
     out: list[tuple[str, str]] = []
@@ -253,12 +253,14 @@ def check_behavior(
 ) -> list[Diagnostic]:
     """Audit a chronology against its static model.
 
-    B1 (warning): a precedence edge with no flow or trigger from the
-    predecessor's region into the successor's region.
-    B2 (warning): an event with no path from any source event (a source
-    has predecessors none and successors some; isolated events qualify
-    as unreachable).
-    B3 (warning): the precedence graph contains a cycle.
+    B1: a precedence edge with no flow or trigger from the predecessor's
+    region into the successor's region.
+    B2: an event with no path from any source event (a source has
+    predecessors none and successors some; isolated events qualify as
+    unreachable).
+    B3: the precedence graph contains a cycle.
+
+    Each code's severity comes from the table in :mod:`thimac.validate`.
 
     Given the source lines of the events and edges, B2 carries its event's
     line, B1 its edge's and B3 its cycle's first edge's; otherwise 0.
@@ -272,16 +274,11 @@ def check_behavior(
     for a, b in behavior.edges:
         ends = {x.dst for sid in regions[a] for table in tables for x in table.get(sid, ())}
         if ends.isdisjoint(regions[b]):
-            out.append(
-                Diagnostic(
-                    "B1",
-                    "warning",
-                    f"{a}->{b}",
-                    "no flow or trigger leaves the predecessor region into "
-                    "the successor region",
-                    edge_lines.get((a, b), 0),
-                )
+            message = (
+                "no flow or trigger leaves the predecessor region into "
+                "the successor region"
             )
+            out.append(_finding("B1", f"{a}->{b}", message, edge_lines.get((a, b), 0)))
 
     succ: dict[str, list[str]] = {eid: [] for eid in behavior.events}
     indeg: dict[str, int] = {eid: 0 for eid in behavior.events}
@@ -290,27 +287,14 @@ def check_behavior(
         indeg[b] += 1
     sources = [eid for eid in behavior.events if indeg[eid] == 0 and succ[eid]]
     for eid in sorted(set(behavior.events) - reachable(succ, sources)):
-        out.append(
-            Diagnostic(
-                "B2",
-                "warning",
-                eid,
-                "event is unreachable from any source event",
-                event_lines.get(eid, 0),
-            )
-        )
+        message = "event is unreachable from any source event"
+        out.append(_finding("B2", eid, message, event_lines.get(eid, 0)))
 
     cycle = _find_cycle(succ)
     if cycle:
-        out.append(
-            Diagnostic(
-                "B3",
-                "warning",
-                "->".join(cycle),
-                "chronology contains a precedence cycle",
-                edge_lines.get((cycle[0], cycle[1]), 0),
-            )
-        )
+        message = "chronology contains a precedence cycle"
+        line = edge_lines.get((cycle[0], cycle[1]), 0)
+        out.append(_finding("B3", "->".join(cycle), message, line))
     out.sort(key=lambda d: (d.code, d.subject))
     return out
 

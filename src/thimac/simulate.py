@@ -132,6 +132,7 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
 
     An inject label may not be one a trigger-born thing could get:
     ``<name>-<n>`` where ``<name>`` owns the create stage of a trigger.
+    One leading byte-order mark is dropped.
     """
     injections: list[tuple[int, str, str]] = []
     labels: set[str] = set()
@@ -142,7 +143,7 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
         for target in (model.stages[g.dst] for g in model.triggers.values())
         if target.kind is _C
     }
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

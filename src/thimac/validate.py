@@ -14,6 +14,9 @@ V3     error     boundary-crossing flow that is not transfer-transfer
 V4     error     thimac nesting contains a cycle (not a forest)
 V5     warning   stage with no incident flow and no incident trigger
 V6     warning   transfer stage that never faces another machine
+B1     warning   precedence edge with no arrow between the two regions
+B2     warning   event unreachable from any source event
+B3     warning   precedence graph contains a cycle
 =====  ========  ====================================================
 
 Behavior-graph checks (codes B1-B3) live in :mod:`thimac.events`.
@@ -26,6 +29,12 @@ from typing import Literal, NamedTuple
 from .model import _P, _RCV, _REL, _T, ActionKind, StaticModel, legal_successor
 
 Severity = Literal["error", "warning"]
+
+#: Each code's severity, as tabled above: the one place it is decided.
+_SEVERITY: dict[str, Severity] = {
+    **dict.fromkeys(("V1", "V2", "V3", "V4"), "error"),
+    **dict.fromkeys(("V5", "V6", "B1", "B2", "B3"), "warning"),
+}
 
 
 class Diagnostic(NamedTuple):
@@ -45,6 +54,10 @@ class Diagnostic(NamedTuple):
         )
 
 
+def _finding(code: str, subject: str, message: str, line: int) -> Diagnostic:
+    return Diagnostic(code, _SEVERITY[code], subject, message, line)
+
+
 def validate(model: StaticModel) -> list[Diagnostic]:
     """Run every V-check; deterministic order, idempotent, read-only.
 
@@ -54,8 +67,8 @@ def validate(model: StaticModel) -> list[Diagnostic]:
     """
     out: list[Diagnostic] = []
 
-    def line(entity: str) -> int:
-        return model.origin.get(entity, (0,))[0]
+    def report(code: str, subject: str, message: str, entity: str) -> None:
+        out.append(_finding(code, subject, message, model.origin.get(entity, (0,))[0]))
 
     # V1: the constructive API cannot produce this, but raw models can.
     per_machine: dict[tuple[str, ActionKind], list[str]] = {}
@@ -63,15 +76,8 @@ def validate(model: StaticModel) -> list[Diagnostic]:
         per_machine.setdefault((stage.owner, stage.kind), []).append(stage.id)
     for (owner, kind), sids in per_machine.items():
         if len(sids) > 1:
-            out.append(
-                Diagnostic(
-                    "V1",
-                    "error",
-                    model.thimac_path(owner),
-                    f"machine declares {len(sids)} {kind.value} stages",
-                    line(owner),
-                )
-            )
+            message = f"machine declares {len(sids)} {kind.value} stages"
+            report("V1", model.thimac_path(owner), message, owner)
 
     # V4 first so V2/V3 can still use ancestry on the sane part of the forest.
     # Each parent walk stops where an earlier one passed: all above is known.
@@ -89,15 +95,8 @@ def validate(model: StaticModel) -> list[Diagnostic]:
             cur = model.thimacs[cur].parent if cur in model.thimacs else None
         passed.update(walk)
     for tid in sorted(cyclic):
-        out.append(
-            Diagnostic(
-                "V4",
-                "error",
-                model.thimacs[tid].name,
-                "thimac nesting is cyclic; models must form a forest",
-                line(tid),
-            )
-        )
+        message = "thimac nesting is cyclic; models must form a forest"
+        report("V4", model.thimacs[tid].name, message, tid)
 
     # For V5 and V6: the stages any arrow touches, and the ends of flows
     # between two machines (a dangling end is V2's finding, not a machine).
@@ -108,8 +107,7 @@ def validate(model: StaticModel) -> list[Diagnostic]:
         src = model.stages.get(flow.src)
         dst = model.stages.get(flow.dst)
         if src is None or dst is None:
-            message = "flow endpoint is not a stage"
-            out.append(Diagnostic("V2", "error", flow.id, message, line(flow.id)))
+            report("V2", flow.id, "flow endpoint is not a stage", flow.id)
             continue
         if src.owner != dst.owner:
             faces_outside.update((flow.src, flow.dst))
@@ -129,33 +127,15 @@ def validate(model: StaticModel) -> list[Diagnostic]:
                 f"{model.stage_ref(flow.src)} -> {model.stage_ref(flow.dst)} "
                 "crosses machines without a transfer pair"
             )
-        out.append(Diagnostic(code, "error", flow.id, message, line(flow.id)))
+        report(code, flow.id, message, flow.id)
 
     for sid, stage in model.stages.items():
         if sid not in touched:
-            out.append(
-                Diagnostic(
-                    "V5",
-                    "warning",
-                    model.stage_ref(sid),
-                    "stage has no incident flow or trigger (dead potentiality)",
-                    line(sid),
-                )
-            )
-        if (
-            stage.kind is _T
-            and stage.owner not in cyclic
-            and sid not in faces_outside
-        ):
-            out.append(
-                Diagnostic(
-                    "V6",
-                    "warning",
-                    model.stage_ref(sid),
-                    "transfer stage never crosses toward another machine",
-                    line(sid),
-                )
-            )
+            message = "stage has no incident flow or trigger (dead potentiality)"
+            report("V5", model.stage_ref(sid), message, sid)
+        if stage.kind is _T and stage.owner not in cyclic and sid not in faces_outside:
+            message = "transfer stage never crosses toward another machine"
+            report("V6", model.stage_ref(sid), message, sid)
 
     out.sort(key=lambda d: (d.code, d.subject, d.message))
     return out

@@ -273,3 +273,16 @@ def test_shipped_and_benchmarked_models_take_the_reader(doc):
     text = doc.read_text() if isinstance(doc, Path) else doc
     assert dsl._read_statements(text) is not None
     assert outcome(parse(text)) == outcome(token_parse(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param((ROOT / "corpus" / "toast.tm").read_text(), id="toast.tm"),
+        pytest.param("thimac a {\n  create;\n  bogus;\n}\n", id="token parser"),
+    ],
+)
+def test_parse_drops_a_leading_byte_order_mark(text):
+    assert outcome(parse("\ufeff" + text)) == outcome(parse(text))
+    doc = dsl.SourceDocument("\ufeff" + text, "x.tm")
+    assert outcome(parse(doc)) == outcome(parse(text))

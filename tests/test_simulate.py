@@ -67,6 +67,8 @@ def test_empty_scenario_defaults(library):
         # only "\n" ends a line, as in model files
         ("inject 0 librarian.request p0\x0cwarp 3", 1, "expected: inject"),
         ("inject 0 librarian.request p0\n\x85\nwarp 3", 3, "unknown directive"),
+        ("choose system.booklist.transfer 0", 1, "expected: choose"),
+        ("\ufeffwarp 3", 1, "unknown directive 'warp'"),
     ],
 )
 def test_scenario_errors_carry_line_numbers(library, text, lineno, needle):

@@ -1,6 +1,8 @@
 """Diagram audits V1-V6 and the verb lexicon."""
 
+import importlib
 import random
+import re
 
 import pytest
 
@@ -152,6 +154,38 @@ def test_v6_inward_facing_transfer_is_a_warning():
     diags = validate(m)
     assert codes(diags) == ["V6"]
     assert diags[0].subject == "a.transfer"
+
+
+def test_every_finding_has_the_severity_the_docstring_tables():
+    from thimac.events import BehaviorModel, define_event
+    from thimac.model import Flow
+
+    doc = importlib.import_module("thimac.validate").__doc__
+    table = dict(re.findall(r"^([VB]\d)\s+(error|warning)\s", doc, re.M))
+    assert list(table) == ["V1", "V2", "V3", "V4", "V5", "V6", "B1", "B2", "B3"]
+
+    m = hop_model()
+    ref = m.resolve_stage_ref
+    m.stages["s99"] = m.stages[ref("a.create")].__class__(  # V1, and V5 on it
+        id="s99", kind=ActionKind.CREATE, owner=m.thimac_at.get("a")
+    )
+    m.flows["f98"] = Flow(id="f98", src=ref("a.create"), dst=ref("a.transfer"))  # V2
+    m.flows["f99"] = Flow(id="f99", src=ref("a.release"), dst=ref("b.receive"))  # V3
+    c = m.add_thimac("c")
+    m.thimacs[c].parent = m.add_thimac("d", c)  # V4
+    e = m.add_thimac("e")
+    release = m.add_stage(e, ActionKind.RELEASE)
+    m.add_flow(release, m.add_stage(e, ActionKind.TRANSFER))  # V6
+    found = validate(m)
+
+    e1 = define_event(m, "e1", [ref("b.transfer"), ref("b.receive")])
+    e2 = define_event(m, "e2", [ref("b.process")])
+    edges = (("e1", "e2"), ("e2", "e1"))
+    found += check_behavior(m, BehaviorModel({"e1": e1, "e2": e2}, edges))  # B1-B3
+
+    assert {d.code for d in found} == set(table)
+    for d in found:
+        assert d.severity == table[d.code], d
 
 
 def test_diagnostic_render_shape():
