@@ -227,8 +227,12 @@ class Region(NamedTuple):
     connected: bool
 
 
-class StaticModel:
-    """A mutable-while-building container for one static model."""
+class StaticModel(_Record):
+    """A mutable-while-building container for one static model.  It equals
+    a model with equal raw dicts, ``roots`` and ``origin`` (the tables
+    derive from them), so it is unhashable; its repr lists those fields."""
+
+    _fields = ("thimacs", "stages", "flows", "triggers", "roots", "origin")
 
     def __init__(self) -> None:
         self.thimacs: dict[str, Thimac] = {}

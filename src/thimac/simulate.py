@@ -11,10 +11,10 @@ The chronology rules, all of them:
   wins, then declaration order.
 * A stage that is the target of a trigger (and is not a create stage)
   is a gate: arrivals rest there until a trigger wakes them.
-* Entering a process stage fires every trigger sourced at it.  Effects
-  land one tick later: a create target births a new thing, any other
-  target wakes the things resting there — or lapses if nobody is.  The
-  n-th thing born at a thimac called ``name`` is labelled ``name-n``.
+* Entering a process stage fires the triggers sourced at it, and no
+  other trigger ever acts.  One tick later a create target births a new
+  thing, any other target wakes the things resting there — or lapses if
+  nobody is.  The n-th thing born at a thimac called ``name`` is ``name-n``.
 * A stage with no outgoing flow is terminal; arrivals rest for good.
 * The run ends when nothing can move any more, at the tick cap, or after
   the first tick that leaves the run with more than ``ENTRY_BUDGET``
@@ -130,19 +130,15 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
         choose <stage-ref> <occurrence> <flow-anchor-or-id>
         max <ticks>
 
-    An inject label may not be one a trigger-born thing could get:
-    ``<name>-<n>`` where ``<name>`` owns the create stage of a trigger.
-    One leading byte-order mark is dropped.
+    An inject label may not be one a fired trigger could give a thing it
+    births: ``<name>-<n>`` where ``<name>`` owns the create stage of a
+    trigger from a process stage.  One leading byte-order mark is dropped.
     """
     injections: list[tuple[int, str, str]] = []
     labels: set[str] = set()
     choices: dict[tuple[str, int], str] = {}
     max_ticks = 1000
-    birth_names = {  # the owners of the create stages triggers lead to
-        model.thimacs[target.owner].name
-        for target in (model.stages[g.dst] for g in model.triggers.values())
-        if target.kind is _C
-    }
+    birth_names = {name for row in _stage_table(model).values() for _, name in row[0][4]}
     for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -204,22 +200,17 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
     return Scenario(tuple(injections), choices, max_ticks)
 
 
-def run(model: StaticModel, scenario: Scenario) -> Trace:
-    """Run to quiescence (or the tick cap, or past the entry budget) and
-    return the sorted trace.
-
-    ``table`` has a row per stage: its entry, what entering it does, and
-    the entry of its default next stage.  An entry is [stage id,
-    declaration number, kind, whether arrivals rest there, births as
-    (create stage, owner name), wakes]; only a process stage fires
-    triggers.  The default is None at a stage with no way out and at one a
-    ``choose`` line names, the only stages that count departures.  Rows are
-    lists, as tuples freed at the end would stay on CPython's free lists.
-    ``moving`` and each stage's ``resting`` list hold (creation number,
-    thing) pairs in creation order, the order things move in, which fixes
-    departure counts and birth labels.
+def _stage_table(model: StaticModel, chosen=()) -> dict[str, list]:
+    """A row per stage, [entry, next, default]: the one place that decides
+    which triggers fire, what each does, where arrivals rest and each
+    stage's default departure.  An entry is [stage id, declaration number,
+    kind, whether arrivals rest there, births as (create stage, owner
+    name), wakes]; only a process stage fires triggers.  ``default`` is the
+    entry of the default next stage, None at a stage with no way out;
+    ``next`` is too, but None at a stage in ``chosen``, the only stages
+    that count departures.  Rows are lists, as tuples freed at the end
+    would stay on CPython's free lists.
     """
-    choices, max_ticks = scenario.choices, scenario.max_ticks
     targets = {g.dst for g in model.triggers.values()}
     table: dict[str, list] = {}
     for n, (sid, stage) in enumerate(model.stages.items()):
@@ -231,12 +222,24 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
             else:
                 woken.append(trig.dst)
         rests = sid not in model.flows_from or sid in targets and kind is not _C
-        table[sid] = [[sid, n, kind, rests, tuple(born), tuple(woken)], None]
-    chosen = {sid for sid, _ in choices}
-    for sid, outs in model.flows_from.items():
-        if sid not in chosen:  # anchor_order is costly, and most stages have one way out
-            flow = min(outs, key=anchor_order) if len(outs) > 1 else outs[0]
-            table[sid][1] = table[flow.dst][0]
+        table[sid] = [[sid, n, kind, rests, tuple(born), tuple(woken)], None, None]
+    for sid, outs in model.flows_from.items():  # most stages have one way out
+        default = table[(min(outs, key=anchor_order) if len(outs) > 1 else outs[0]).dst][0]
+        table[sid][1:] = (None if sid in chosen else default), default
+    return table
+
+
+def run(model: StaticModel, scenario: Scenario) -> Trace:
+    """Run to quiescence (or the tick cap, or past the entry budget) and
+    return the sorted trace.
+
+    ``table`` is :func:`_stage_table`'s, with the stages a ``choose`` line
+    names.  ``moving`` and each stage's ``resting`` list hold (creation
+    number, thing) pairs in creation order, the order things move in, which
+    fixes departure counts and birth labels.
+    """
+    choices, max_ticks = scenario.choices, scenario.max_ticks
+    table = _stage_table(model, {sid for sid, _ in choices})
     things: list[ThingInstance] = []
     rows: list[tuple[int, int, str, str, ActionKind]] = []
     births: dict[int, list[tuple[str, str]]] = {}
@@ -274,13 +277,11 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
                     occ = departures.get(src, 0)
                     departures[src] = occ + 1
                     fid = choices.get((src, occ))
-                    if fid is None:
-                        fid = min(model.flows_from[src], key=anchor_order).id
-                    elif model.flows[fid].src != src:
+                    if fid is not None and model.flows[fid].src != src:
                         ref = model.stage_ref(src)
                         raise StuckThing(t, ref, f"tick {t}: choice for {ref} occurrence {occ} "
                                          f"names flow {fid}, which does not leave that stage")
-                    entry = table[model.flows[fid].dst][0]
+                    entry = table[src][2] if fid is None else table[model.flows[fid].dst][0]
             sid, n, kind, rests, born, woken = entry
             thing.stage, thing.entered_at, thing.resting = sid, t, rests
             rows.append((t, n, thing.label, sid, kind))

@@ -2,6 +2,7 @@
 
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, example, given, note, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,7 @@ from thimac import simulate
 from thimac.dsl import parse, serialize
 from thimac.events import EventDef
 from thimac.model import KIND_ORDER, ActionKind, legal_successor, new_model
-from thimac.simulate import StuckThing, load_scenario, render_trace
+from thimac.simulate import ScenarioError, StuckThing, load_scenario, render_trace
 
 
 @st.composite
@@ -210,6 +211,10 @@ def test_runs_keep_the_engine_invariants(world):
     born = {}
     for tick, _, thing, _, _ in rows:  # rows are sorted by tick
         born.setdefault(thing, tick)
+    path = model.thimac_path(scenario.injections[0][1])
+    for thing in born.keys() - {label for _, _, label in scenario.injections}:
+        with pytest.raises(ScenarioError, match="reserved for trigger-born things"):
+            load_scenario(model, f"inject 0 {path} {thing}")  # a trigger bore it
     for tick, _, thing, sid, kind in rows:
         assert model.stages[sid].kind is kind
         assert (kind is ActionKind.CREATE) == (tick == born[thing])

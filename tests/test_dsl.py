@@ -24,6 +24,18 @@ def test_corpus_round_trip_is_fixed_point(name):
     assert text1 == text2  # byte identical
 
 
+@pytest.mark.parametrize(
+    "name", ["library", "toast", "picnic", "take", "signal"]
+)
+def test_parses_are_equal_and_canonical_text_reads_back_equal(name):
+    text = (CORPUS / f"{name}.tm").read_text()
+    first = parse(text)
+    assert first == parse(text)
+    canonical = parse(serialize(first.model, first.events, first.behaviors))
+    again = parse(serialize(canonical.model, canonical.events, canonical.behaviors))
+    assert again == canonical
+
+
 def test_round_trip_preserves_structure(library):
     text = serialize(library.model, library.events, library.behaviors)
     again = parse(text)

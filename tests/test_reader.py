@@ -33,20 +33,6 @@ def token_parse(text: str) -> dsl.ParseResult:
         return parse(text)
 
 
-def outcome(result: dsl.ParseResult):
-    """Everything a parse result tells its callers, in comparable form."""
-    diags = [(d.severity, d.message, d.line, d.column) for d in result.diagnostics]
-    if result.model is None:
-        return diags
-    m = result.model
-    return (
-        diags,
-        serialize(m, result.events, result.behaviors),
-        m.thimacs, m.stages, m.flows, m.triggers, m.origin,
-        result.events, result.behaviors, result.event_lines, result.edge_lines,
-    )
-
-
 # ---------------------------------------------------------------------------
 # generated models, re-spaced and mutated
 
@@ -156,7 +142,7 @@ def test_the_reader_and_the_token_parser_agree(data):
     took = dsl._read_statements(text) is not None
     note(f"reader took it: {took}")
     event(f"mutated={mutate} took={took}")
-    assert outcome(parse(text)) == outcome(token_parse(text))
+    assert parse(text) == token_parse(text)
     if not mutate:  # escapes in a label are the one thing left to the token parser
         assert took or "\\" in text
 
@@ -188,7 +174,7 @@ A = "thimac a { create; release; }\n"
 )
 def test_the_reader_declines_and_the_token_parser_decides(text):
     assert dsl._read_statements(text) is None
-    assert outcome(parse(text)) == outcome(token_parse(text))
+    assert parse(text) == token_parse(text)
 
 
 def test_a_second_behavior_of_one_name_is_reported_by_both_readers():
@@ -226,7 +212,7 @@ def test_every_form_is_read_and_every_blank_matters():
     blanks = [k for k, c in enumerate(EVERY_FORM) if c in " \n"]
     for k in blanks:
         text = EVERY_FORM[:k] + EVERY_FORM[k + 1:]
-        assert outcome(parse(text)) == outcome(token_parse(text)), repr(text)
+        assert parse(text) == token_parse(text), repr(text)
 
 
 def test_flows_and_triggers_record_their_keywords_position():
@@ -272,7 +258,7 @@ def shipped_documents():
 def test_shipped_and_benchmarked_models_take_the_reader(doc):
     text = doc.read_text() if isinstance(doc, Path) else doc
     assert dsl._read_statements(text) is not None
-    assert outcome(parse(text)) == outcome(token_parse(text))
+    assert parse(text) == token_parse(text)
 
 
 @pytest.mark.parametrize(
@@ -283,6 +269,6 @@ def test_shipped_and_benchmarked_models_take_the_reader(doc):
     ],
 )
 def test_parse_drops_a_leading_byte_order_mark(text):
-    assert outcome(parse("\ufeff" + text)) == outcome(parse(text))
+    assert parse("\ufeff" + text) == parse(text)
     doc = dsl.SourceDocument("\ufeff" + text, "x.tm")
-    assert outcome(parse(doc)) == outcome(parse(text))
+    assert parse(doc) == parse(text)

@@ -12,6 +12,7 @@ from thimac import (
     Stage,
     TimeSubthimac,
     Trigger,
+    new_model,
 )
 
 #: per value record: two equal instances built apart, then a different one
@@ -81,3 +82,21 @@ def test_entities_compare_by_fields_and_name_them_in_their_repr():
     with pytest.raises(TypeError):
         hash(stage)
     assert not hasattr(stage, "__dict__") and not hasattr(flow, "__dict__")
+
+
+def test_models_compare_by_declarations_roots_and_origin():
+    def build():
+        m = new_model()
+        a = m.add_thimac("a")
+        m.add_flow(m.add_stage(a, ActionKind.CREATE), m.add_stage(a, ActionKind.RELEASE))
+        return m
+
+    one, same = build(), build()
+    assert one == same and one is not same
+    same.origin["t1"] = (1, 1)
+    assert one != same
+    with pytest.raises(TypeError):
+        hash(one)
+    assert repr(new_model()) == (
+        "StaticModel(thimacs={}, stages={}, flows={}, triggers={}, roots=[], origin={})"
+    )

@@ -310,6 +310,19 @@ def test_inject_labels_no_birth_can_take_are_accepted(label):
     assert sorted(trace.things) == sorted(["a", label, "y-1"])
 
 
+def test_a_trigger_that_leaves_no_process_stage_reserves_no_label():
+    """Only a process stage fires triggers, so x.create => y.create never
+    births a thing and ``y-1`` is free to inject."""
+    m = new_model()
+    x, y = m.add_thimac("x"), m.add_thimac("y")
+    xc = m.add_stage(x, ActionKind.CREATE)
+    m.add_flow(xc, m.add_stage(x, ActionKind.PROCESS))
+    m.add_trigger(xc, m.add_stage(y, ActionKind.CREATE))
+    trace = run(m, load_scenario(m, "inject 0 x a\ninject 0 y y-1\n"))
+    assert sorted(trace.things) == ["a", "y-1"]
+    assert {row[2] for row in trace.rows} == {"a", "y-1"}
+
+
 def test_births_are_numbered_per_owner_name():
     m = new_model()
     creates = {}
