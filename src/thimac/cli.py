@@ -173,9 +173,7 @@ def cmd_simulate(args, result: ParseResult) -> int:
     for ref in projection.uncovered:
         print(f"warning: no declared event covers {ref}", file=sys.stderr)
     if args.trace:
-        text = render_trace(model, trace)
-        if text:
-            print(text)
+        render_trace(model, trace, sys.stdout)
     else:
         for ev in projection.events:
             print(ev.name)

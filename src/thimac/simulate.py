@@ -26,7 +26,8 @@ costs one row lookup.  The engine keeps the things in motion and, per
 stage, the things resting there.  Idle ticks are skipped: with nothing in
 motion the clock jumps to the next birth or awakening.  The trace is
 bit-for-bit reproducible and kept as plain rows; ``Trace.entries`` builds
-entry objects on first read.
+entry objects on first read.  ``render_trace`` can stream a trace in
+fixed-size chunks, so printing one never holds its whole text.
 """
 
 from __future__ import annotations
@@ -308,13 +309,28 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
     )
 
 
-def render_trace(model: StaticModel, trace: Trace) -> str:
-    """One line per entry: ``<tick> <thing> <stage-ref> <kind>``."""
+_CHUNK = 256  # trace lines per write
+
+
+def render_trace(model: StaticModel, trace: Trace, out=None) -> str | None:
+    """One line per entry: ``<tick> <thing> <stage-ref> <kind>``.
+
+    Returns the text, or writes it to the stream ``out`` ``_CHUNK`` lines a
+    write, each ending in a newline, and returns None.
+    """
     ends = {  # "<stage-ref> <kind>", once per stage
         sid: f"{model.stage_ref(sid)} {model.stages[sid].kind.value}"
         for sid in {row[3] for row in trace.rows}
     }
-    return "\n".join(f"{t} {thing} {ends[sid]}" for t, _, thing, sid, _ in trace.rows)
+    rows = trace.rows
+    chunks = (
+        "".join(f"{t} {thing} {ends[sid]}\n" for t, _, thing, sid, _ in rows[i : i + _CHUNK])
+        for i in range(0, len(rows), _CHUNK)
+    )
+    if out is None:
+        return "".join(chunks)[:-1]
+    for chunk in chunks:
+        out.write(chunk)
 
 
 # ---------------------------------------------------------------------------

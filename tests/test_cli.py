@@ -1,5 +1,6 @@
 """End-to-end command line checks (subprocess level)."""
 
+import io
 import json
 import os
 import re
@@ -364,6 +365,43 @@ def test_simulate_trace_matches_golden(cli, golden_dir):
     r = cli("simulate", LIB, "corpus/scenarios/add_new_book.scn", "--trace")
     assert r.returncode == 0
     assert r.stdout == (golden_dir / "add_new_book.trace").read_text()
+
+
+def _one_stage_run(tmp_path, things: int):
+    """A model whose run has one trace row per injected thing, and its files."""
+    f = tmp_path / "m.tm"
+    f.write_text("thimac a { create; }\nevent made { region [a.create] }\n")
+    s = tmp_path / "run.scn"
+    s.write_text("".join(f"inject 0 a t{i}\n" for i in range(things)))
+    return f, s
+
+
+@pytest.mark.parametrize("rows", [0, simulate._CHUNK, simulate._CHUNK + 1])
+def test_simulate_streams_the_text_render_trace_returns(tmp_path, capsys, rows):
+    f, s = _one_stage_run(tmp_path, rows)
+    m = parse(f.read_text()).model
+    trace = simulate.run(m, simulate.load_scenario(m, s.read_text()))
+    assert len(trace.rows) == rows
+    want = simulate.render_trace(m, trace) + "\n" if rows else ""
+    assert cli_mod.main(["simulate", str(f), str(s), "--trace"]) == 0
+    assert capsys.readouterr().out == want
+    out = io.StringIO()
+    assert simulate.render_trace(m, trace, out=out) is None
+    assert out.getvalue() == want
+
+
+def test_simulate_trace_into_a_closed_pipe_exits_quietly(tmp_path):
+    f, s = _one_stage_run(tmp_path, 8_000)  # about 190 KB, past a 64 KiB pipe buffer
+    argv = [sys.executable, "-X", "dev", "-W", "error", "-m", "thimac"]
+    argv += ["simulate", str(f), str(s), "--trace"]
+    env = {**os.environ, "PYTHONPATH": str(Path(thimac.__file__).resolve().parent.parent)}
+    pipes = {"stdout": subprocess.PIPE, "stderr": subprocess.PIPE}
+    with subprocess.Popen(argv, env=env, **pipes) as child:
+        assert child.stdout.readline() == b"0 t0 a.create create\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert child.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_simulate_warns_about_uncovered_stages(cli):

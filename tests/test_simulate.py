@@ -1,5 +1,7 @@
 """Tick-by-tick thing flow, scenarios, projection, conformance."""
 
+import tracemalloc
+
 import pytest
 
 import reference_sim
@@ -180,6 +182,32 @@ def test_runs_are_deterministic(library, corpus_dir):
     second = run(m, load_scenario(m, text))
     assert render_trace(m, first) == render_trace(m, second)
     assert first.final_tick == second.final_tick
+
+
+class _Discard:
+    """A text stream that keeps nothing but the number of writes."""
+
+    writes = 0
+
+    def write(self, text: str) -> None:
+        self.writes += 1
+
+
+def test_streaming_a_trace_never_holds_its_whole_text():
+    m = parse("thimac a { create; }\n").model
+    rows = 20_000
+    trace = run(m, load_scenario(m, "".join(f"inject 0 a t{i}\n" for i in range(rows))))
+    assert len(trace.rows) == rows
+    size = len(render_trace(m, trace))
+    sink = _Discard()
+    tracemalloc.start()
+    try:
+        assert render_trace(m, trace, out=sink) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.writes == -(-rows // simulate._CHUNK)
+    assert peak < size / 4, (peak, size)
 
 
 def test_choice_for_the_wrong_stage_means_stuck(library, corpus_dir):
