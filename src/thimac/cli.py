@@ -178,7 +178,7 @@ def cmd_simulate(args, result: ParseResult) -> int:
         for ev in projection.events:
             print(ev.name)
     budget = simulate_mod.ENTRY_BUDGET
-    if len(trace.rows) > budget:
+    if len(trace.labels) > budget:
         print(f"thimac: run hit the entry budget {budget}", file=sys.stderr)
         return 1
     if trace.truncated:

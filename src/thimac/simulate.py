@@ -25,9 +25,12 @@ A run first reads the model into one table row per stage, so an entry
 costs one row lookup.  The engine keeps the things in motion and, per
 stage, the things resting there.  Idle ticks are skipped: with nothing in
 motion the clock jumps to the next birth or awakening.  The trace is
-bit-for-bit reproducible and kept as plain rows; ``Trace.entries`` builds
-entry objects on first read.  ``render_trace`` can stream a trace in
-fixed-size chunks, so printing one never holds its whole text.
+bit-for-bit reproducible and kept as three parallel columns (ticks, stage
+declaration numbers and thing labels), sorted tick by tick as the run
+makes them; ``Trace.rows`` and ``Trace.entries`` build tuples and entry
+objects on first read, and ``thimac simulate`` builds neither.
+``render_trace`` can stream a trace in fixed-size chunks, so printing one
+never holds its whole text.
 """
 
 from __future__ import annotations
@@ -94,25 +97,48 @@ class GenericEventInstance(NamedTuple):
 
 
 class Trace(_Record):
-    """Sorted rows, (tick, stage declaration number, thing, stage id, kind)
-    per entry, and each thing's end state; ``truncated`` marks a run the
-    tick cap stopped with a thing in motion or a birth or awakening due, or
-    one that made more than ``ENTRY_BUDGET`` entries.  It has no
-    ``__slots__``: ``entries`` is kept in the instance dict."""
+    """A run's entries as three parallel columns in (tick, stage declaration
+    number, thing) order: ``ticks``, ``numbers`` and ``labels``, with
+    ``stages`` mapping a declaration number to its (stage id, kind); and
+    each thing's end state.  ``truncated`` marks a run the tick cap stopped
+    with a thing in motion or a birth or awakening due, or one that made
+    more than ``ENTRY_BUDGET`` entries.  ``rows``, a (tick, stage
+    declaration number, thing, stage id, kind) tuple per entry, and
+    ``entries`` are built from the columns on first read and kept in the
+    instance dict."""
 
     _fields = ("rows", "things", "final_tick", "truncated")
 
     def __init__(self, rows: tuple[tuple[int, int, str, str, ActionKind], ...],
                  things: dict[str, ThingInstance], final_tick: int,
                  truncated: bool = False) -> None:
-        self.rows, self.things = rows, things
-        self.final_tick, self.truncated = final_tick, truncated
+        """The trace of sorted ``rows``; ``run`` hands over its columns instead."""
+        self.ticks, self.numbers, self.labels = ([row[i] for row in rows] for i in range(3))
+        self.stages = {row[1]: row[3:] for row in rows}
+        self.things, self.final_tick, self.truncated = things, final_tick, truncated
+
+    @classmethod
+    def _of_columns(cls, ticks: list[int], numbers: list[int], labels: list[str],
+                    stages: dict[int, tuple[str, ActionKind]], things: dict[str, ThingInstance],
+                    truncated: bool) -> Trace:
+        trace = cls((), things, ticks[-1] if ticks else 0, truncated)
+        trace.ticks, trace.numbers, trace.labels, trace.stages = ticks, numbers, labels, stages
+        return trace
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, int, str, str, ActionKind], ...]:
+        """One tuple per entry, built on first read."""
+        stages = self.stages
+        return tuple((t, n, label) + stages[n]
+                     for t, n, label in zip(self.ticks, self.numbers, self.labels))
 
     @cached_property
     def entries(self) -> tuple[GenericEventInstance, ...]:
-        """The rows as entry objects, built on first read; one time per tick."""
-        times = {t: TimeSubthimac(t, t + 1) for t in {row[0] for row in self.rows}}
-        return tuple(GenericEventInstance(*r[2:], times[r[0]]) for r in self.rows)
+        """The entries as objects, built on first read; one time per tick."""
+        times = {t: TimeSubthimac(t, t + 1) for t in set(self.ticks)}
+        stages = self.stages
+        return tuple(GenericEventInstance(label, *stages[n], times[t])
+                     for t, n, label in zip(self.ticks, self.numbers, self.labels))
 
 
 #: ``<name>-<n>``: the label of the n-th thing born at a create stage of
@@ -139,7 +165,7 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
     labels: set[str] = set()
     choices: dict[tuple[str, int], str] = {}
     max_ticks = 1000
-    birth_names = {name for row in _stage_table(model).values() for _, name in row[0][4]}
+    birth_names = {name for sid in model.triggers_from for _, name in _fired(model, sid)[0]}
     for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -201,12 +227,26 @@ def load_scenario(model: StaticModel, text: str) -> Scenario:
     return Scenario(tuple(injections), choices, max_ticks)
 
 
+def _fired(model: StaticModel, sid: str) -> tuple[tuple, tuple]:
+    """What entering stage ``sid`` fires, (births, wakes): the one trigger
+    rule.  Only a process stage fires; a trigger into a create stage births
+    there, as (create stage, owner name), and any other wakes its target.
+    """
+    born, woken = [], []
+    for trig in model.triggers_from.get(sid, ()) if model.stages[sid].kind is _P else ():
+        target = model.stages[trig.dst]
+        if target.kind is _C:
+            born.append((trig.dst, model.thimacs[target.owner].name))
+        else:
+            woken.append(trig.dst)
+    return tuple(born), tuple(woken)
+
+
 def _stage_table(model: StaticModel, chosen=()) -> dict[str, list]:
     """A row per stage, [entry, next, default]: the one place that decides
-    which triggers fire, what each does, where arrivals rest and each
-    stage's default departure.  An entry is [stage id, declaration number,
-    kind, whether arrivals rest there, births as (create stage, owner
-    name), wakes]; only a process stage fires triggers.  ``default`` is the
+    where arrivals rest and each stage's default departure.  An entry is
+    [stage id, declaration number, kind, whether arrivals rest there,
+    births, wakes], the last two from :func:`_fired`.  ``default`` is the
     entry of the default next stage, None at a stage with no way out;
     ``next`` is too, but None at a stage in ``chosen``, the only stages
     that count departures.  Rows are lists, as tuples freed at the end
@@ -215,15 +255,10 @@ def _stage_table(model: StaticModel, chosen=()) -> dict[str, list]:
     targets = {g.dst for g in model.triggers.values()}
     table: dict[str, list] = {}
     for n, (sid, stage) in enumerate(model.stages.items()):
-        kind, born, woken = stage.kind, [], []
-        for trig in model.triggers_from.get(sid, ()) if kind is _P else ():
-            target = model.stages[trig.dst]
-            if target.kind is _C:
-                born.append((trig.dst, model.thimacs[target.owner].name))
-            else:
-                woken.append(trig.dst)
+        kind = stage.kind
+        born, woken = _fired(model, sid) if sid in model.triggers_from else ((), ())
         rests = sid not in model.flows_from or sid in targets and kind is not _C
-        table[sid] = [[sid, n, kind, rests, tuple(born), tuple(woken)], None, None]
+        table[sid] = [[sid, n, kind, rests, born, woken], None, None]
     for sid, outs in model.flows_from.items():  # most stages have one way out
         default = table[(min(outs, key=anchor_order) if len(outs) > 1 else outs[0]).dst][0]
         table[sid][1:] = (None if sid in chosen else default), default
@@ -237,12 +272,16 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
     ``table`` is :func:`_stage_table`'s, with the stages a ``choose`` line
     names.  ``moving`` and each stage's ``resting`` list hold (creation
     number, thing) pairs in creation order, the order things move in, which
-    fixes departure counts and birth labels.
+    fixes departure counts and birth labels.  A tick's entries go onto the
+    trace's columns sorted by (declaration number, label), so the columns
+    come out in trace order and no tuple is kept per entry.
     """
     choices, max_ticks = scenario.choices, scenario.max_ticks
     table = _stage_table(model, {sid for sid, _ in choices})
     things: list[ThingInstance] = []
-    rows: list[tuple[int, int, str, str, ActionKind]] = []
+    ticks: list[int] = []
+    numbers: list[int] = []
+    labels: list[str] = []
     births: dict[int, list[tuple[str, str]]] = {}
     awakenings: dict[int, list[str]] = {}
     moving: list[tuple[int, ThingInstance]] = []
@@ -266,7 +305,7 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
         for sid in awakenings.pop(t, ()):
             if sid in model.flows_from:  # else the awakening lapses: nowhere to go
                 steps += resting.pop(sid, ())
-        steps, moving = steps + moving, []
+        steps, moving, entered = steps + moving, [], []
         for moved in steps:
             thing = moved[1]
             src = thing.stage
@@ -283,9 +322,9 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
                         raise StuckThing(t, ref, f"tick {t}: choice for {ref} occurrence {occ} "
                                          f"names flow {fid}, which does not leave that stage")
                     entry = table[src][2] if fid is None else table[model.flows[fid].dst][0]
-            sid, n, kind, rests, born, woken = entry
+            sid, n, _, rests, born, woken = entry
             thing.stage, thing.entered_at, thing.resting = sid, t, rests
-            rows.append((t, n, thing.label, sid, kind))
+            entered.append((n, thing.label))
             if born:
                 for at, name in born:
                     count = birth_counts[name] = birth_counts.get(name, 0) + 1
@@ -297,16 +336,19 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
             else:
                 moving.append(moved)
         moving.sort()
+        if len(entered) > 1:
+            entered.sort()  # a thing enters one stage a tick: no two labels tie
+        for n, label in entered:
+            ticks.append(t)
+            numbers.append(n)
+            labels.append(label)
         t += 1
-        if len(rows) > ENTRY_BUDGET:
+        if len(labels) > ENTRY_BUDGET:
             break
-    rows.sort()  # (tick, thing) is unique, so no two rows compare a kind
-    return Trace(
-        rows=tuple(rows),
-        things={th.label: th for th in things},
-        final_tick=rows[-1][0] if rows else 0,
-        truncated=bool(moving or births or awakenings) or len(rows) > ENTRY_BUDGET,
-    )
+    stages = {entry[1]: (entry[0], entry[2]) for entry, _, _ in table.values()}
+    truncated = bool(moving or births or awakenings) or len(labels) > ENTRY_BUDGET
+    return Trace._of_columns(ticks, numbers, labels, stages,
+                             {th.label: th for th in things}, truncated)
 
 
 _CHUNK = 256  # trace lines per write
@@ -319,13 +361,14 @@ def render_trace(model: StaticModel, trace: Trace, out=None) -> str | None:
     write, each ending in a newline, and returns None.
     """
     ends = {  # "<stage-ref> <kind>", once per stage
-        sid: f"{model.stage_ref(sid)} {model.stages[sid].kind.value}"
-        for sid in {row[3] for row in trace.rows}
+        n: f"{model.stage_ref(trace.stages[n][0])} {trace.stages[n][1].value}"
+        for n in set(trace.numbers)
     }
-    rows = trace.rows
+    ticks, labels, numbers = trace.ticks, trace.labels, trace.numbers
     chunks = (
-        "".join(f"{t} {thing} {ends[sid]}\n" for t, _, thing, sid, _ in rows[i : i + _CHUNK])
-        for i in range(0, len(rows), _CHUNK)
+        "".join(f"{t} {thing} {ends[n]}\n" for t, thing, n in
+                zip(ticks[i : i + _CHUNK], labels[i : i + _CHUNK], numbers[i : i + _CHUNK]))
+        for i in range(0, len(ticks), _CHUNK)
     )
     if out is None:
         return "".join(chunks)[:-1]
@@ -355,25 +398,25 @@ def project(model: StaticModel, trace: Trace, events) -> ProjectionResult:
     surviving candidate and start a new run.  Entries no region covers
     at all are reported as uncovered stage references.
     """
-    events = tuple(events)
-    held: dict[str, int] = {}  # stage id -> bit i set when events[i] holds it
+    events, stages = tuple(events), trace.stages
+    number = {sid: n for n, (sid, _) in stages.items()}
+    held: dict[int, int] = {}  # declaration number -> bit i set when events[i] holds it
     for i, ev in enumerate(events):
-        for sid in ev.region:
-            held[sid] = held.get(sid, 0) | 1 << i
+        for sid in number.keys() & ev.region:
+            held[number[sid]] = held.get(number[sid], 0) | 1 << i
     projected = []
-    uncovered: dict[str, str] = {}  # stage id -> its ref
+    uncovered: dict[int, str] = {}  # declaration number -> its stage ref
     candidates = 0  # bit i set while events[i] covers the whole run so far
-    for row in trace.rows:
-        sid = row[3]
-        here = held.get(sid, 0)
+    for n in trace.numbers:
+        here = held.get(n, 0)
         if candidates & here:
             candidates &= here
             continue
         if candidates:  # the lowest bit is the first-declared candidate
             projected.append(events[(candidates & -candidates).bit_length() - 1])
         candidates = here
-        if not here and sid not in uncovered:
-            uncovered[sid] = model.stage_ref(sid)
+        if not here and n not in uncovered:
+            uncovered[n] = model.stage_ref(stages[n][0])
     if candidates:
         projected.append(events[(candidates & -candidates).bit_length() - 1])
     return ProjectionResult(tuple(projected), tuple(uncovered.values()))

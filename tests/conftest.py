@@ -53,6 +53,20 @@ def golden_dir():
     return GOLDEN
 
 
+def chain_texts(relays: int, things: int) -> tuple[str, str]:
+    """Model and scenario text of a legal chain: ``things`` things injected
+    one tick apart walk ``m0``'s create, release and transfer stages, then
+    each relay's transfer, receive and release and its nested ``out``
+    transfer, 3 + 4 * ``relays`` entries a thing."""
+    path = ["m0.create", "m0.release", "m0.transfer"]
+    model = ["thimac m0 { create; release; transfer; }\n"]
+    for i in range(1, relays + 1):
+        model.append(f"thimac m{i} {{ transfer; receive; release; thimac out {{ transfer; }} }}\n")
+        path += [f"m{i}.transfer", f"m{i}.receive", f"m{i}.release", f"m{i}.out.transfer"]
+    model += [f"flow {a} -> {b};\n" for a, b in zip(path, path[1:])]
+    return "".join(model), "".join(f"inject {j} m0 t{j}\n" for j in range(things))
+
+
 def run_cli(*args: str, cwd: Path = ROOT) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "thimac", *args],

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import thimac
+from conftest import chain_texts
 from thimac import cli as cli_mod
 from thimac import simulate
 from thimac.dsl import parse, serialize
@@ -388,6 +389,26 @@ def test_simulate_streams_the_text_render_trace_returns(tmp_path, capsys, rows):
     out = io.StringIO()
     assert simulate.render_trace(m, trace, out=out) is None
     assert out.getvalue() == want
+
+
+def test_simulate_builds_neither_rows_nor_entries(tmp_path, monkeypatch, capsys):
+    """``simulate --trace`` reads the trace's columns only."""
+    f, s = tmp_path / "chain.tm", tmp_path / "chain.scn"
+    for path, text in zip((f, s), chain_texts(49, 100)):
+        path.write_text(text)
+    traces = []
+
+    def kept_run(model, scenario):
+        traces.append(simulate.run(model, scenario))
+        return traces[-1]
+
+    monkeypatch.setattr(cli_mod, "run", kept_run)
+    assert cli_mod.main(["simulate", str(f), str(s), "--trace"]) == 0
+    out = capsys.readouterr().out
+    [trace] = traces
+    assert not {"rows", "entries"} & vars(trace).keys()
+    assert out.count("\n") == 100 * (3 + 4 * 49)
+    assert out.endswith("\n297 t99 m49.out.transfer transfer\n")
 
 
 def test_simulate_trace_into_a_closed_pipe_exits_quietly(tmp_path):

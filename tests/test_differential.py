@@ -182,6 +182,35 @@ def test_projection_matches_the_reference(world, data):
     assert (got.events, got.uncovered) == reference_sim.project(model, trace, events)
 
 
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(worlds(), st.data())
+def test_a_trace_built_from_rows_reads_as_the_run_built_one(world, data):
+    """``run`` builds its trace from columns; one built from the same rows,
+    and the reference engine's over the same ticks, give equal columns,
+    text and projection."""
+    model, text = world
+    scenario = load_scenario(model, text)
+    try:
+        with mock.patch.object(simulate, "ENTRY_BUDGET", 2000):
+            got = simulate.run(model, scenario)
+    except StuckThing:
+        return
+    rebuilt = simulate.Trace(rows=got.rows, things=got.things, final_tick=got.final_tick,
+                             truncated=got.truncated)
+    reference = reference_sim.run(model, scenario._replace(max_ticks=got.final_tick + 1))
+    regions = st.sets(st.sampled_from(sorted(model.stages)), min_size=1)
+    events = [
+        EventDef(f"e{n}", f"e{n}", frozenset(region))
+        for n, region in enumerate(data.draw(st.lists(regions, max_size=6)))
+    ]
+    assert rebuilt == got
+    for built in (rebuilt, reference):
+        assert (built.ticks, built.numbers, built.labels) == (got.ticks, got.numbers, got.labels)
+        assert built.entries == got.entries
+        assert render_trace(model, built) == render_trace(model, got)
+        assert simulate.project(model, built, events) == simulate.project(model, got, events)
+
+
 def rows_or_stuck(model, scenario):
     try:
         return simulate.run(model, scenario).rows

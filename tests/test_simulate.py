@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 import reference_sim
+from conftest import chain_texts, parse_corpus
 from thimac import simulate
 from thimac.dsl import parse
 from thimac.events import EventDef, TimeSubthimac
@@ -12,6 +13,7 @@ from thimac.model import ActionKind, new_model
 from thimac.simulate import (
     ScenarioError,
     StuckThing,
+    Trace,
     UnknownEventInProjection,
     conforms,
     load_scenario,
@@ -496,3 +498,60 @@ def test_a_run_that_ends_within_its_budget_is_not_truncated(
     assert not exact.truncated and exact.rows == whole.rows
     monkeypatch.setattr(simulate, "ENTRY_BUDGET", len(whole.rows) - 1)
     assert run(m, scenario).truncated
+
+
+# ---------------------------------------------------------------------------
+# the trace's columns
+
+
+def test_a_run_keeps_its_trace_as_columns_not_rows():
+    """About 20,000 entries cost fewer than 40 bytes each in the returned
+    trace: three list slots, with every tick, number and label shared; a
+    (tick, number, thing, stage id, kind) tuple an entry costs 88."""
+    model_text, scenario_text = chain_texts(49, 100)
+    m = parse(model_text).model
+    scenario = load_scenario(m, scenario_text)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run(m, scenario)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    entries = 100 * (3 + 4 * 49)
+    assert trace.final_tick == 99 + 2 + 4 * 49 and not trace.truncated
+    assert kept < 40 * entries, kept / entries
+    assert "rows" not in vars(trace) and "entries" not in vars(trace)
+    assert len(trace.rows) == entries  # built on first read, then kept
+    assert "rows" in vars(trace) and "entries" not in vars(trace)
+
+
+def corpus_runs(corpus_dir):
+    for model, scenarios in (
+        ("library", ("add_new_book", "edit_book")),
+        ("toast", ("toast",)),
+        ("take", ("take",)),
+        ("picnic", ("picnic",)),
+    ):
+        result = parse_corpus(model)
+        for name in scenarios:
+            yield result, load_scenario(result.model, scn(corpus_dir, f"{name}.scn"))
+
+
+def test_a_trace_built_from_rows_equals_the_run_built_one(corpus_dir):
+    """The reference engine builds its trace from rows, ``run`` from columns;
+    both give the same columns, rows, entries, text and projection."""
+    for result, scenario in corpus_runs(corpus_dir):
+        m = result.model
+        got = run(m, scenario)
+        for built in (
+            reference_sim.run(m, scenario),
+            Trace(rows=got.rows, things=got.things, final_tick=got.final_tick,
+                  truncated=got.truncated),
+        ):
+            assert built == got
+            assert (built.ticks, built.numbers, built.labels) == (
+                got.ticks, got.numbers, got.labels)
+            assert built.entries == got.entries
+            assert render_trace(m, built) == render_trace(m, got)
+            assert project(m, built, result.events) == project(m, got, result.events)
