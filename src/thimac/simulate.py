@@ -397,6 +397,11 @@ def project(model: StaticModel, trace: Trace, events) -> ProjectionResult:
     region can take the next entry, close the run as the first-declared
     surviving candidate and start a new run.  Entries no region covers
     at all are reported as uncovered stage references.
+
+    The events tuple is built straight from the closed runs, with no list
+    of the same length beside it.  ``thimac simulate`` lets the trace go
+    once this and the printing are done, so the command's peak is the trace
+    plus the projection, never the trace plus the conformance report.
     """
     events, stages = tuple(events), trace.stages
     number = {sid: n for n, (sid, _) in stages.items()}
@@ -404,22 +409,25 @@ def project(model: StaticModel, trace: Trace, events) -> ProjectionResult:
     for i, ev in enumerate(events):
         for sid in number.keys() & ev.region:
             held[number[sid]] = held.get(number[sid], 0) | 1 << i
-    projected = []
     uncovered: dict[int, str] = {}  # declaration number -> its stage ref
-    candidates = 0  # bit i set while events[i] covers the whole run so far
-    for n in trace.numbers:
-        here = held.get(n, 0)
-        if candidates & here:
-            candidates &= here
-            continue
-        if candidates:  # the lowest bit is the first-declared candidate
-            projected.append(events[(candidates & -candidates).bit_length() - 1])
-        candidates = here
-        if not here and n not in uncovered:
-            uncovered[n] = model.stage_ref(stages[n][0])
-    if candidates:
-        projected.append(events[(candidates & -candidates).bit_length() - 1])
-    return ProjectionResult(tuple(projected), tuple(uncovered.values()))
+
+    def closed_runs():  # fills ``uncovered`` as it goes
+        candidates = 0  # bit i set while events[i] covers the whole run so far
+        for n in trace.numbers:
+            here = held.get(n, 0)
+            if candidates & here:
+                candidates &= here
+                continue
+            if candidates:  # the lowest bit is the first-declared candidate
+                yield events[(candidates & -candidates).bit_length() - 1]
+            candidates = here
+            if not here and n not in uncovered:
+                uncovered[n] = model.stage_ref(stages[n][0])
+        if candidates:
+            yield events[(candidates & -candidates).bit_length() - 1]
+
+    projected = tuple(closed_runs())
+    return ProjectionResult(projected, tuple(uncovered.values()))
 
 
 class ConformanceReport(NamedTuple):

@@ -67,6 +67,18 @@ def chain_texts(relays: int, things: int) -> tuple[str, str]:
     return "".join(model), "".join(f"inject {j} m0 t{j}\n" for j in range(things))
 
 
+def chain_events(relays: int) -> str:
+    """Declarations for :func:`chain_texts`' model: an event ``e<i>`` over
+    each relay's four stages, and a behavior ``relay`` in which ``e<i>`` may
+    only be followed by ``e<i+1>``."""
+    events = "".join(
+        f"event e{i} {{ region [m{i}.transfer, m{i}.receive, m{i}.release, m{i}.out.transfer] }}\n"
+        for i in range(1, relays + 1)
+    )
+    edges = "".join(f"  e{i} -> e{i + 1};\n" for i in range(1, relays))
+    return f"{events}behavior relay {{\n{edges}}}\n"
+
+
 def run_cli(*args: str, cwd: Path = ROOT) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "thimac", *args],

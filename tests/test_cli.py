@@ -6,12 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 import thimac
-from conftest import chain_texts
+from conftest import chain_events, chain_texts
 from thimac import cli as cli_mod
 from thimac import simulate
 from thimac.dsl import parse, serialize
@@ -409,6 +410,33 @@ def test_simulate_builds_neither_rows_nor_entries(tmp_path, monkeypatch, capsys)
     assert not {"rows", "entries"} & vars(trace).keys()
     assert out.count("\n") == 100 * (3 + 4 * 49)
     assert out.endswith("\n297 t99 m49.out.transfer transfer\n")
+
+
+def test_simulate_drops_the_trace_before_checking_conformance(tmp_path, monkeypatch, capsys):
+    """Conformance and the printing of its problems run with only the model,
+    the projection and the scenario alive: the trace is gone by then."""
+    f, s = tmp_path / "chain.tm", tmp_path / "chain.scn"
+    model_text, scenario_text = chain_texts(3, 5)
+    f.write_text(model_text + chain_events(3))
+    s.write_text(scenario_text)
+    traces, checked = [], []
+
+    def kept_run(model, scenario):
+        trace = simulate.run(model, scenario)
+        traces.append(weakref.ref(trace))
+        return trace
+
+    def checked_conforms(*args, **kwargs):
+        assert traces[-1]() is None, "the trace is still alive"
+        checked.append(traces[-1])
+        return simulate.conforms(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "run", kept_run)
+    monkeypatch.setattr(cli_mod, "conforms", checked_conforms)
+    for flag in ([], ["--trace"], ["--transitive"]):
+        assert cli_mod.main(["simulate", str(f), str(s), *flag]) == 3
+    assert len(traces) == len(checked) == 3
+    assert capsys.readouterr().err.count("thimac: e3 -> e2 is not an allowed succession\n") == 9
 
 
 def test_simulate_trace_into_a_closed_pipe_exits_quietly(tmp_path):
