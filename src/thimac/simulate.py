@@ -399,9 +399,8 @@ def project(model: StaticModel, trace: Trace, events) -> ProjectionResult:
     at all are reported as uncovered stage references.
 
     The events tuple is built straight from the closed runs, with no list
-    of the same length beside it.  ``thimac simulate`` lets the trace go
-    once this and the printing are done, so the command's peak is the trace
-    plus the projection, never the trace plus the conformance report.
+    of the same length beside it (before Python 3.14, whose ``tuple()``
+    fills a list first).
     """
     events, stages = tuple(events), trace.stages
     number = {sid: n for n, (sid, _) in stages.items()}
