@@ -23,7 +23,7 @@ from . import events as events_mod
 from . import simulate as simulate_mod
 from . import __version__
 from .dsl import ParseResult, SourceDocument, emit_behavior_dot, emit_dot
-from .dsl import parse, serialize
+from .dsl import _write_chunks, parse, serialize
 from .simulate import (
     ScenarioError,
     SimulationError,
@@ -82,7 +82,10 @@ def cmd_validate(args, result: ParseResult) -> int:
     if args.json:
         import json  # here, not at the top: no other command pays its import
 
-        print(json.dumps([d._asdict() for d in diags], indent=2))
+        # the bytes of json.dumps(..., indent=2), never held as one text
+        encoder = json.JSONEncoder(indent=2)
+        _write_chunks(encoder.iterencode([d._asdict() for d in diags]), sys.stdout)
+        print()
     else:
         print(f"{errors} error(s), {warnings} warning(s)")
     return 1 if errors else 0
@@ -203,14 +206,14 @@ def cmd_simulate(args, result: ParseResult) -> int:
 
 def cmd_export(args, result: ParseResult) -> int:
     if args.canonical:
-        sys.stdout.write(serialize(result.model, result.events, result.behaviors))
+        serialize(result.model, result.events, result.behaviors, out=sys.stdout)
         return 0
     highlight = None
     if args.highlight is not None:
         highlight = result.model.subdiagram(
             _event_by_name(result, args.highlight).region
         )
-    sys.stdout.write(emit_dot(result.model, highlight))
+    emit_dot(result.model, highlight, out=sys.stdout)
     return 0
 
 

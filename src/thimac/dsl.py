@@ -32,10 +32,11 @@ labels without escapes) and declines anything else.  It declares names,
 stages, thimacs and time intervals through the token parser's own
 methods, which check reserved words, record source positions and turn
 model errors into diagnostics, and it hands over on the first diagnostic
-they make.  The token parser then reads the document from the start, so
-every parse diagnostic comes from it alone.  Both fill the same pending
-flows, events and behaviors, which one late resolution step turns into
-the result, so a document reads the same whichever reader takes it.
+they make.  The token parser then reads the document from the start, a
+token at a time as the lexer yields them, so every parse diagnostic
+comes from it alone.  Both fill the same pending flows, events and
+behaviors, which one late resolution step turns into the result, so a
+document reads the same whichever reader takes it.
 
 Parsing never raises for bad input: every problem becomes a
 ParseDiagnostic with a 1-based line and column, and a document with any
@@ -49,13 +50,16 @@ without skipping anything.
 
 Serialization is canonical (stages in kind order, flows by anchor then
 declaration), so parse-serialize-parse is the identity on models and
-re-serialization is byte-stable.
+re-serialization is byte-stable.  Both renderings, the canonical text and
+DOT, build their lines lazily and can write them to a stream a chunk at a
+time, so an export never holds its whole text.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, NoReturn
+from itertools import islice
+from typing import Iterator, NamedTuple, NoReturn
 
 from . import events as events_mod
 from .model import _KINDS, KIND_ORDER, ModelError, Region, StaticModel, _Record
@@ -151,33 +155,45 @@ _ESCAPE_RE = re.compile(r'\\(["\\])')
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-def _tokenize(text: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
-    toks: list[_Token] = []
-    diags: list[ParseDiagnostic] = []
+def _tokens(text: str, diags: list[ParseDiagnostic]) -> Iterator[_Token]:
+    """Yield the tokens of ``text``, an eof token last, a line at a time;
+    each lexical diagnostic goes to ``diags`` as its line is read."""
     new = tuple.__new__  # skips _Token's own __new__
-    # not splitlines(): "\x0b", "\x85" and others are unexpected characters
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        for m in _TOKEN_RE.finditer(line):
+    lineno, start, size = 1, 0, len(text)
+    while True:
+        # lines end at "\n" alone, not as splitlines() has it: "\x0b", "\x85"
+        # and others are unexpected characters
+        end = text.find("\n", start)
+        if end < 0:
+            end = size
+        for m in _TOKEN_RE.finditer(text, start, end):
             kind = m.lastgroup
             if kind is None:
                 continue  # a comment or the blanks ending the line
-            column = m.start(kind) + 1
+            column = m.start(kind) - start + 1
             if kind == "string":
                 if m["closed"] is None:
                     message = "unterminated string"
                     diags.append(ParseDiagnostic("error", message, lineno, column))
                 body = m["body"]
                 body = _ESCAPE_RE.sub(r"\1", body) if "\\" in body else body
-                toks.append(new(_Token, ("string", body, lineno, column)))
+                yield new(_Token, ("string", body, lineno, column))
             elif kind == "bad":
                 message = f"unexpected character {m[kind]!r}"
                 diags.append(ParseDiagnostic("error", message, lineno, column))
             else:
                 word = m[kind]
-                tok = (word if kind == "punct" else kind, word, lineno, column)
-                toks.append(new(_Token, tok))
-    toks.append(new(_Token, ("eof", "", lineno, len(line) + 1)))
-    return toks, diags
+                yield new(_Token, (word if kind == "punct" else kind, word, lineno, column))
+        if end == size:
+            break
+        lineno, start = lineno + 1, end + 1
+    yield new(_Token, ("eof", "", lineno, end - start + 1))
+
+
+def _tokenize(text: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
+    """Every token of ``text`` and its lexical diagnostics, as lists."""
+    diags: list[ParseDiagnostic] = []
+    return list(_tokens(text, diags)), diags
 
 
 class _PendingArrow(NamedTuple):
@@ -195,10 +211,8 @@ class _Skip(Exception):
 
 
 class _Parser:
-    def __init__(self, toks: list[_Token], diags: list[ParseDiagnostic]):
-        self.toks = toks
-        self.i = 0
-        self.diags = diags
+    def __init__(self):
+        self.diags: list[ParseDiagnostic] = []
         self.model = new_model()
         self.arrows: list[_PendingArrow] = []
         # (name, stage refs, time) and (name, [(predecessor, successor)])
@@ -211,12 +225,12 @@ class _Parser:
     # -- token plumbing -------------------------------------------------
 
     def peek(self) -> _Token:
-        return self.toks[self.i]
+        return self.tok
 
     def advance(self) -> _Token:
-        tok = self.toks[self.i]
+        tok = self.tok
         if tok.kind != "eof":
-            self.i += 1
+            self.tok = next(self.toks)
         return tok
 
     def error(self, message: str, tok: _Token | None = None) -> None:
@@ -229,9 +243,9 @@ class _Parser:
         raise _Skip
 
     def expect(self, kind: str, what: str) -> _Token:
-        tok = self.toks[self.i]
+        tok = self.tok
         if tok.kind == kind:  # never "eof", so step past it
-            self.i += 1
+            self.tok = next(self.toks)
             return tok
         self.fail(f"expected {what}, found {tok.shown!r}")
 
@@ -254,7 +268,10 @@ class _Parser:
 
     # -- grammar ---------------------------------------------------------
 
-    def parse_document(self) -> None:
+    def parse_document(self, toks: Iterator[_Token]) -> None:
+        """Read the document ``toks`` streams, a token at a time."""
+        self.toks = toks
+        self.tok = next(toks)  # the token being looked at
         # each statement's parser and the tokens a broken one is skipped past
         statements = {
             "thimac": (self.parse_thimac, ("}",)),
@@ -455,10 +472,13 @@ class _Parser:
 
     def resolve(self) -> tuple[list[EventDef], dict[str, BehaviorModel]]:
         model = self.model
-        # Every flow before every trigger, each kind in declaration order.
-        for kw, src_ref, dst_ref, carries, anchor in sorted(
-            self.arrows, key=lambda arrow: arrow.keyword.value == "trigger"
-        ):
+        # Every flow before every trigger, each kind in declaration order:
+        # popped from the end, each pending arrow is freed once declared.
+        arrows, self.arrows = self.arrows, []
+        arrows.reverse()
+        arrows.sort(key=lambda arrow: arrow.keyword.value == "flow")
+        while arrows:
+            kw, src_ref, dst_ref, carries, anchor = arrows.pop()
             src = model.resolve_stage_ref(src_ref)
             dst = model.resolve_stage_ref(dst_ref)
             if src is None or dst is None:
@@ -554,7 +574,7 @@ def _read_statements(text: str) -> _Parser | None:
     recognise, and the first statement that needs a diagnostic, returns
     None, and the token parser reads the document and reports on it.
     """
-    parser = _Parser([], [])
+    parser = _Parser()
     model = parser.model
     new = tuple.__new__
     blocks: list[str] = []  # the open thimac blocks' ids, innermost last
@@ -630,8 +650,10 @@ def parse(doc: SourceDocument | str) -> ParseResult:
     text = (doc if isinstance(doc, str) else doc.text).removeprefix("\ufeff")
     parser = _read_statements(text)
     if parser is None:  # not well-formed: the token parser says why
-        parser = _Parser(*_tokenize(text))
-        parser.parse_document()
+        lexical: list[ParseDiagnostic] = []
+        parser = _Parser()
+        parser.parse_document(_tokens(text, lexical))
+        parser.diags[:0] = lexical  # every lexical diagnostic comes first
     events, behaviors = parser.resolve()
     if any(d.severity == "error" for d in parser.diags):
         return ParseResult(model=None, diagnostics=parser.diags)
@@ -646,7 +668,21 @@ def parse(doc: SourceDocument | str) -> ParseResult:
 
 
 # ---------------------------------------------------------------------------
-# shared by both renderings
+# shared by every rendering
+
+_CHUNK = 256  # pieces per write: lines of an export or a trace
+
+
+def _write_chunks(pieces: Iterator[str], out=None) -> str | None:
+    """Join the strings ``pieces``.  Returns the text, or writes it to the
+    stream ``out`` ``_CHUNK`` pieces a write and returns None, so the whole
+    text is never held."""
+    if out is None:
+        return "".join(pieces)
+    while chunk := list(islice(pieces, _CHUNK)):
+        out.write("".join(chunk))
+        del chunk  # freed before the next chunk is built, not beside it
+    return None
 
 
 def _nesting(model: StaticModel):
@@ -687,94 +723,120 @@ def _name(text: str, entity: str) -> str:
     return text
 
 
-def serialize(model: StaticModel, events=(), behaviors=None) -> str:
+def serialize(model: StaticModel, events=(), behaviors=None, out=None) -> str | None:
     """Render the canonical text for a model and its declarations.
 
     Canonical means: thimacs depth-first in declaration order, stages in
     the fixed kind order, flows sorted by anchor then declaration, region
     references sorted; the output is a fixed point of parse-serialize.
-    A name, alias or label the language cannot spell raises ValueError.
+    Returns the text, or writes it to the stream ``out`` ``_CHUNK`` lines
+    a write through ``_write_chunks`` and returns None.  A name, alias or
+    label the language cannot spell raises ValueError; with ``out``, the
+    chunks before it may already have been written.
     """
-    sections: list[list[str]] = []  # blocks of lines, blank lines between
+    return _write_chunks(_canonical_lines(model, events, behaviors), out)
+
+
+def _canonical_lines(model: StaticModel, events, behaviors):
+    """The canonical text a line at a time: the thimac blocks, the flows,
+    the triggers, the events and each behavior, with a blank line between
+    two of these sections that have lines."""
+    sections = [
+        _thimac_lines(model),
+        (_flow_line(model, f) for f in sorted(model.flows.values(), key=anchor_order)),
+        (f"trigger {model.stage_ref(g.src)} => {model.stage_ref(g.dst)};\n"
+         for g in model.triggers.values()),
+        (_event_line(model, ev) for ev in events),
+        *(_behavior_lines(name, beh) for name, beh in (behaviors or {}).items()),
+    ]
+    wrote = False  # a blank line goes before each later section with lines
+    for lines in sections:
+        first = next(lines, None)
+        if first is None:
+            continue
+        if wrote:
+            yield "\n"
+        wrote = True
+        yield first
+        yield from lines
+
+
+def _thimac_lines(model: StaticModel):
     for tid, depth, opening in _nesting(model):
         pad = "  " * depth
         if not opening:
-            sections[-1].append(f"{pad}}}")
+            yield f"{pad}}}\n"
             continue
-        if depth == 0:
-            sections.append([])
+        if depth == 0 and tid != model.roots[0]:
+            yield "\n"  # between two top-level blocks
         name = _name(model.thimacs[tid].name, f"thimac {tid}")
-        sections[-1].append(f"{pad}thimac {name} {{")
+        yield f"{pad}thimac {name} {{\n"
         for stage in _stages_in_kind_order(model, tid):
             alias = stage.alias and _name(stage.alias, f"alias of stage {stage.id}")
             suffix = f" as {alias}" if alias else ""
-            sections[-1].append(f"{pad}  {stage.kind.value}{suffix};")
+            yield f"{pad}  {stage.kind.value}{suffix};\n"
 
-    flow_lines = []
-    for f in sorted(model.flows.values(), key=anchor_order):
-        line = f"flow {model.stage_ref(f.src)} -> {model.stage_ref(f.dst)}"
-        if f.carries is not None:
-            if "\n" in f.carries:
-                raise ValueError(f"flow {f.id}: a carries label cannot hold a newline")
-            line += f' carries "{_escape(f.carries)}"'
-        if f.anchor is not None:
-            if f.anchor < 0:
-                raise ValueError(f"flow {f.id}: anchor {f.anchor} is negative")
-            line += f" anchor {f.anchor}"
-        flow_lines.append(line + ";")
-    sections.append(flow_lines)
 
-    sections.append([
-        f"trigger {model.stage_ref(g.src)} => {model.stage_ref(g.dst)};"
-        for g in model.triggers.values()
-    ])
+def _flow_line(model: StaticModel, f) -> str:
+    line = f"flow {model.stage_ref(f.src)} -> {model.stage_ref(f.dst)}"
+    if f.carries is not None:
+        if "\n" in f.carries:
+            raise ValueError(f"flow {f.id}: a carries label cannot hold a newline")
+        line += f' carries "{_escape(f.carries)}"'
+    if f.anchor is not None:
+        if f.anchor < 0:
+            raise ValueError(f"flow {f.id}: anchor {f.anchor} is negative")
+        line += f" anchor {f.anchor}"
+    return line + ";\n"
 
-    event_lines = []
-    for ev in events:
-        refs = ", ".join(sorted(model.stage_ref(sid) for sid in ev.region))
-        time = f" time {ev.time.start}..{ev.time.end}" if ev.time else ""
-        name = _name(ev.name, f"event {ev.id}")
-        event_lines.append(f"event {name} {{ region [{refs}]{time} }}")
-    sections.append(event_lines)
 
-    for name, beh in (behaviors or {}).items():
-        what = f"edge of behavior {name}"
-        edges = [f"  {_name(a, what)} -> {_name(b, what)};" for a, b in beh.edges]
-        sections.append([f"behavior {_name(name, 'behavior')} {{", *edges, "}"])
+def _event_line(model: StaticModel, ev: EventDef) -> str:
+    refs = ", ".join(sorted(model.stage_ref(sid) for sid in ev.region))
+    time = f" time {ev.time.start}..{ev.time.end}" if ev.time else ""
+    return f"event {_name(ev.name, f'event {ev.id}')} {{ region [{refs}]{time} }}\n"
 
-    text = "\n\n".join("\n".join(lines) for lines in sections if lines)
-    return text + "\n" if text else ""
+
+def _behavior_lines(name: str, behavior: BehaviorModel):
+    what = f"edge of behavior {name}"
+    edges = [f"  {_name(a, what)} -> {_name(b, what)};\n" for a, b in behavior.edges]
+    yield f"behavior {_name(name, 'behavior')} {{\n"
+    yield from edges
+    yield "}\n"
 
 
 # ---------------------------------------------------------------------------
 # DOT export
 
 
-def emit_dot(model: StaticModel, highlight: Region | None = None) -> str:
+def emit_dot(model: StaticModel, highlight: Region | None = None, out=None) -> str | None:
     """Graphviz rendering: nested clusters, solid flows, dashed triggers.
 
     ``highlight`` fills the given region's stages so one event can be
-    picked out of the full diagram.
+    picked out of the full diagram.  Returns the text, or writes it to the
+    stream ``out`` ``_CHUNK`` lines a write through ``_write_chunks`` and
+    returns None.
     """
+    return _write_chunks(_dot_lines(model, highlight), out)
+
+
+def _dot_lines(model: StaticModel, highlight: Region | None):
     lit = highlight.stages if highlight is not None else frozenset()
-    out: list[str] = [
-        "digraph tm {",
-        "  rankdir=LR;",
-        "  compound=true;",
-        "  node [shape=box, fontsize=10];",
-    ]
+    yield "digraph tm {\n"
+    yield "  rankdir=LR;\n"
+    yield "  compound=true;\n"
+    yield "  node [shape=box, fontsize=10];\n"
     for tid, depth, opening in _nesting(model):
         pad = "  " * (depth + 1)
         if not opening:
-            out.append(f"{pad}}}")
+            yield f"{pad}}}\n"
             continue
-        out.append(f"{pad}subgraph cluster_{tid} {{")
-        out.append(f'{pad}  label="{_escape(model.thimacs[tid].name)}";')
+        yield f"{pad}subgraph cluster_{tid} {{\n"
+        yield f'{pad}  label="{_escape(model.thimacs[tid].name)}";\n'
         for stage in _stages_in_kind_order(model, tid):
             attrs = [f'label="{_escape(stage.alias or stage.kind.value)}"']
             if stage.id in lit:
                 attrs.append('style=filled, fillcolor="gold"')
-            out.append(f"{pad}  {stage.id} [{', '.join(attrs)}];")
+            yield f"{pad}  {stage.id} [{', '.join(attrs)}];\n"
 
     for f in sorted(model.flows.values(), key=anchor_order):
         parts = []
@@ -783,11 +845,10 @@ def emit_dot(model: StaticModel, highlight: Region | None = None) -> str:
         if f.carries is not None:
             parts.append(f.carries)
         label = f' [label="{_escape(" ".join(parts))}"]' if parts else ""
-        out.append(f"  {f.src} -> {f.dst}{label};")
+        yield f"  {f.src} -> {f.dst}{label};\n"
     for g in model.triggers.values():
-        out.append(f"  {g.src} -> {g.dst} [style=dashed];")
-    out.append("}")
-    return "\n".join(out) + "\n"
+        yield f"  {g.src} -> {g.dst} [style=dashed];\n"
+    yield "}\n"
 
 
 def emit_behavior_dot(name: str, behavior: BehaviorModel) -> str:

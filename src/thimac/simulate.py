@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 from .model import _C, _P, ActionKind, StaticModel, _Record, anchor_order, reachable
 from .events import TimeSubthimac
+from .dsl import _CHUNK, _write_chunks  # _CHUNK: render_trace's lines per write
 
 
 #: a run stops after the first tick that leaves it with more entries than
@@ -351,29 +352,21 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
                              {th.label: th for th in things}, truncated)
 
 
-_CHUNK = 256  # trace lines per write
-
-
 def render_trace(model: StaticModel, trace: Trace, out=None) -> str | None:
     """One line per entry: ``<tick> <thing> <stage-ref> <kind>``.
 
     Returns the text, or writes it to the stream ``out`` ``_CHUNK`` lines a
-    write, each ending in a newline, and returns None.
+    write, each ending in a newline, through ``dsl._write_chunks`` as the
+    model exports do, and returns None.
     """
     ends = {  # "<stage-ref> <kind>", once per stage
         n: f"{model.stage_ref(trace.stages[n][0])} {trace.stages[n][1].value}"
         for n in set(trace.numbers)
     }
-    ticks, labels, numbers = trace.ticks, trace.labels, trace.numbers
-    chunks = (
-        "".join(f"{t} {thing} {ends[n]}\n" for t, thing, n in
-                zip(ticks[i : i + _CHUNK], labels[i : i + _CHUNK], numbers[i : i + _CHUNK]))
-        for i in range(0, len(ticks), _CHUNK)
-    )
-    if out is None:
-        return "".join(chunks)[:-1]
-    for chunk in chunks:
-        out.write(chunk)
+    lines = (f"{t} {thing} {ends[n]}\n"
+             for t, thing, n in zip(trace.ticks, trace.labels, trace.numbers))
+    text = _write_chunks(lines, out)
+    return None if text is None else text[:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,26 @@ def test_validate_json_bytes_are_pinned(cli, tmp_path):
     assert r.stdout == UNUSED_AND_INWARD_JSON
 
 
+def test_validate_json_prints_the_bytes_of_json_dumps(cli, tmp_path):
+    """Forty V5 and thirty-nine B1 findings, more than one chunk of the
+    encoder's pieces: the bytes of ``json.dumps(..., indent=2)`` and a
+    newline."""
+    f = tmp_path / "m.tm"
+    n = 40
+    f.write_text(
+        "".join(f"thimac x{i} {{ create; process; release; }}\n" for i in range(n))
+        + "".join(f"flow x{i}.create -> x{i}.process;\n" for i in range(n))
+        + "".join(f"event e{i} {{ region [x{i}.create, x{i}.process] }}\n" for i in range(n))
+        + "behavior walk {\n" + "".join(f"  e{i} -> e{i + 1};\n" for i in range(n - 1)) + "}\n"
+    )
+    result = parse(f.read_text())
+    diags = thimac.validate(result.model) + cli_mod._check_behavior(result, "walk")
+    assert {d.code for d in diags} == {"V5", "B1"}
+    r = cli("validate", "--json", str(f))
+    assert r.returncode == 0
+    assert r.stdout == json.dumps([d._asdict() for d in diags], indent=2) + "\n"
+
+
 def test_syntax_error_exits_two(cli, tmp_path):
     f = tmp_path / "broken.tm"
     f.write_text("thimac x { take; }\n")
