@@ -190,12 +190,6 @@ def _tokens(text: str, diags: list[ParseDiagnostic]) -> Iterator[_Token]:
     yield new(_Token, ("eof", "", lineno, end - start + 1))
 
 
-def _tokenize(text: str) -> tuple[list[_Token], list[ParseDiagnostic]]:
-    """Every token of ``text`` and its lexical diagnostics, as lists."""
-    diags: list[ParseDiagnostic] = []
-    return list(_tokens(text, diags)), diags
-
-
 class _PendingArrow(NamedTuple):
     """A flow or a trigger, resolved once every thimac is declared."""
 

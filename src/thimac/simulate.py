@@ -27,8 +27,7 @@ stage, the things resting there.  Idle ticks are skipped: with nothing in
 motion the clock jumps to the next birth or awakening.  The trace is
 bit-for-bit reproducible and kept as three parallel columns (ticks, stage
 declaration numbers and thing labels), sorted tick by tick as the run
-makes them; ``Trace.rows`` and ``Trace.entries`` build tuples and entry
-objects on first read, and ``thimac simulate`` builds neither.
+makes them; every reader in this package reads the columns.
 ``render_trace`` can stream a trace in fixed-size chunks, so printing one
 never holds its whole text.
 """
@@ -100,42 +99,28 @@ class GenericEventInstance(NamedTuple):
 class Trace(_Record):
     """A run's entries as three parallel columns in (tick, stage declaration
     number, thing) order: ``ticks``, ``numbers`` and ``labels``, with
-    ``stages`` mapping a declaration number to its (stage id, kind); and
+    ``stages`` mapping every declaration number to its (stage id, kind); and
     each thing's end state.  ``truncated`` marks a run the tick cap stopped
     with a thing in motion or a birth or awakening due, or one that made
-    more than ``ENTRY_BUDGET`` entries.  ``rows``, a (tick, stage
-    declaration number, thing, stage id, kind) tuple per entry, and
-    ``entries`` are built from the columns on first read and kept in the
-    instance dict."""
+    more than ``ENTRY_BUDGET`` entries.  Two traces are equal when these
+    six fields are."""
 
-    _fields = ("rows", "things", "final_tick", "truncated")
+    _fields = ("ticks", "numbers", "labels", "stages", "things", "truncated")
 
-    def __init__(self, rows: tuple[tuple[int, int, str, str, ActionKind], ...],
-                 things: dict[str, ThingInstance], final_tick: int,
+    def __init__(self, ticks: list[int], numbers: list[int], labels: list[str],
+                 stages: dict[int, tuple[str, ActionKind]], things: dict[str, ThingInstance],
                  truncated: bool = False) -> None:
-        """The trace of sorted ``rows``; ``run`` hands over its columns instead."""
-        self.ticks, self.numbers, self.labels = ([row[i] for row in rows] for i in range(3))
-        self.stages = {row[1]: row[3:] for row in rows}
-        self.things, self.final_tick, self.truncated = things, final_tick, truncated
+        self.ticks, self.numbers, self.labels, self.stages = ticks, numbers, labels, stages
+        self.things, self.truncated = things, truncated
 
-    @classmethod
-    def _of_columns(cls, ticks: list[int], numbers: list[int], labels: list[str],
-                    stages: dict[int, tuple[str, ActionKind]], things: dict[str, ThingInstance],
-                    truncated: bool) -> Trace:
-        trace = cls((), things, ticks[-1] if ticks else 0, truncated)
-        trace.ticks, trace.numbers, trace.labels, trace.stages = ticks, numbers, labels, stages
-        return trace
-
-    @cached_property
-    def rows(self) -> tuple[tuple[int, int, str, str, ActionKind], ...]:
-        """One tuple per entry, built on first read."""
-        stages = self.stages
-        return tuple((t, n, label) + stages[n]
-                     for t, n, label in zip(self.ticks, self.numbers, self.labels))
+    @property
+    def final_tick(self) -> int:
+        """The last entry's tick, 0 for an empty trace."""
+        return self.ticks[-1] if self.ticks else 0
 
     @cached_property
     def entries(self) -> tuple[GenericEventInstance, ...]:
-        """The entries as objects, built on first read; one time per tick."""
+        """Entry objects, built on first read; only the bench reads them (ROADMAP item 3)."""
         times = {t: TimeSubthimac(t, t + 1) for t in set(self.ticks)}
         stages = self.stages
         return tuple(GenericEventInstance(label, *stages[n], times[t])
@@ -348,8 +333,7 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
             break
     stages = {entry[1]: (entry[0], entry[2]) for entry, _, _ in table.values()}
     truncated = bool(moving or births or awakenings) or len(labels) > ENTRY_BUDGET
-    return Trace._of_columns(ticks, numbers, labels, stages,
-                             {th.label: th for th in things}, truncated)
+    return Trace(ticks, numbers, labels, stages, {th.label: th for th in things}, truncated)
 
 
 def render_trace(model: StaticModel, trace: Trace, out=None) -> str | None:

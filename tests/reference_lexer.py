@@ -1,5 +1,5 @@
 """The regex lexer of :mod:`thimac.dsl` as it was before it read the text
-line by line, kept as the oracle for :func:`thimac.dsl._tokenize`.
+line by line, kept as the oracle for :func:`thimac.dsl._tokens`.
 
 One ``finditer`` over the whole text, a match per blank run, line numbers
 counted through every whitespace match.  Tests run it beside the current

@@ -12,15 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from thimac.events import TimeSubthimac
 from thimac.model import ActionKind, StaticModel
-from thimac.simulate import (
-    GenericEventInstance,
-    Scenario,
-    StuckThing,
-    ThingInstance,
-    Trace,
-)
+from thimac.simulate import Scenario, StuckThing, ThingInstance, Trace
 
 
 class OverBudget(Exception):
@@ -34,8 +27,8 @@ def outgoing_flows(model: StaticModel, stage_id: str):
 def render_trace(model: StaticModel, trace: Trace) -> str:
     """One line per entry: ``<tick> <thing> <stage-ref> <kind>``."""
     return "\n".join(
-        f"{e.time.start} {e.thing} {model.stage_ref(e.stage)} {e.kind.value}"
-        for e in trace.entries
+        f"{t} {thing} {model.stage_ref(trace.stages[n][0])} {trace.stages[n][1].value}"
+        for t, n, thing in zip(trace.ticks, trace.numbers, trace.labels)
     )
 
 
@@ -45,7 +38,7 @@ class SimState:
     scenario: Scenario
     time: int = 0
     things: list[ThingInstance] = field(default_factory=list)
-    entries: list[GenericEventInstance] = field(default_factory=list)
+    entries: list[tuple[int, str, str]] = field(default_factory=list)  # (tick, stage id, thing)
     births: dict[int, list[tuple[str, str]]] = field(default_factory=dict)
     awakenings: dict[int, list[str]] = field(default_factory=dict)
     departures: dict[str, int] = field(default_factory=dict)
@@ -72,9 +65,7 @@ def _enter(state: SimState, thing: ThingInstance, sid: str, t: int) -> None:
     thing.stage = sid
     thing.entered_at = t
     stage = model.stages[sid]
-    state.entries.append(
-        GenericEventInstance(thing.label, sid, stage.kind, TimeSubthimac(t, t + 1))
-    )
+    state.entries.append((t, sid, thing.label))
     if stage.kind is ActionKind.PROCESS:
         for trig in model.triggers.values():
             if trig.src != sid:
@@ -158,17 +149,13 @@ def run(model: StaticModel, scenario: Scenario, budget: int | None = None) -> Tr
             raise OverBudget(len(state.entries))
     # add_stage numbers ids in declaration order: this is numeric id order
     declared = {sid: n for n, sid in enumerate(model.stages)}
-    entries = tuple(
-        sorted(
-            state.entries,
-            key=lambda e: (e.time.start, declared[e.stage], e.thing),
-        )
-    )
-    final = entries[-1].time.start if entries else 0
+    entries = sorted((t, declared[sid], thing) for t, sid, thing in state.entries)
     return Trace(
-        rows=tuple((e.time.start, declared[e.stage], e.thing, e.stage, e.kind) for e in entries),
+        ticks=[t for t, _, _ in entries],
+        numbers=[n for _, n, _ in entries],
+        labels=[thing for _, _, thing in entries],
+        stages={n: (sid, model.stages[sid].kind) for sid, n in declared.items()},
         things={th.label: th for th in state.things},
-        final_tick=final,
         truncated=_has_pending(state),
     )
 
@@ -183,14 +170,15 @@ def project(model: StaticModel, trace: Trace, events) -> tuple[tuple, tuple[str,
         return [ev for ev in events if stages <= ev.region]
 
     projected, uncovered, stages = [], [], set()
-    for entry in trace.entries:
-        if stages and covering(stages | {entry.stage}):
-            stages.add(entry.stage)
+    for n in trace.numbers:
+        sid = trace.stages[n][0]
+        if stages and covering(stages | {sid}):
+            stages.add(sid)
             continue
         if stages:
             projected.append(covering(stages)[0])
-        stages = {entry.stage} if covering({entry.stage}) else set()
-        ref = model.stage_ref(entry.stage)
+        stages = {sid} if covering({sid}) else set()
+        ref = model.stage_ref(sid)
         if not stages and ref not in uncovered:
             uncovered.append(ref)
     if stages:

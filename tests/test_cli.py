@@ -403,7 +403,7 @@ def test_simulate_streams_the_text_render_trace_returns(tmp_path, capsys, rows):
     f, s = _one_stage_run(tmp_path, rows)
     m = parse(f.read_text()).model
     trace = simulate.run(m, simulate.load_scenario(m, s.read_text()))
-    assert len(trace.rows) == rows
+    assert len(trace.labels) == rows
     want = simulate.render_trace(m, trace) + "\n" if rows else ""
     assert cli_mod.main(["simulate", str(f), str(s), "--trace"]) == 0
     assert capsys.readouterr().out == want
@@ -427,7 +427,7 @@ def test_simulate_builds_neither_rows_nor_entries(tmp_path, monkeypatch, capsys)
     assert cli_mod.main(["simulate", str(f), str(s), "--trace"]) == 0
     out = capsys.readouterr().out
     [trace] = traces
-    assert not {"rows", "entries"} & vars(trace).keys()
+    assert "entries" not in vars(trace)
     assert out.count("\n") == 100 * (3 + 4 * 49)
     assert out.endswith("\n297 t99 m49.out.transfer transfer\n")
 
@@ -482,6 +482,19 @@ def test_simulate_warns_about_uncovered_stages(cli):
         "process_thing",
         "put_thing",
     ]
+
+
+def test_simulate_pins_the_signal_scenario(cli):
+    """The merged projection reads stages, not ticks, so it cannot tell
+    ``signal_low`` (1..4) from ``signal_high`` (4..8): both hold only
+    ``signal.process``.  The run's two entries project to ``signal_rises``
+    alone, which conforms to ``wave``."""
+    args = ("simulate", "corpus/signal.tm", "corpus/scenarios/signal.scn")
+    r = cli(*args)
+    assert (r.returncode, r.stdout, r.stderr) == (0, "signal_rises\n", "conforms to wave\n")
+    r = cli(*args, "--trace")
+    assert r.returncode == 0
+    assert r.stdout == "0 s signal.create create\n1 s signal.process process\n"
 
 
 def test_simulate_bad_scenario_exits_two(cli, tmp_path):

@@ -119,16 +119,11 @@ WAKE_BEFORE_MOVE = WAKE_INTO_BAD_CHOICE + "inject 5 z late\nchoose z.create 1 5\
 
 
 def outcome(engine, model, scenario, **kwargs):
-    """The run's observable result, or where it got stuck."""
+    """The run's trace, or where it got stuck."""
     try:
-        trace = engine.run(model, scenario, **kwargs)
+        return engine.run(model, scenario, **kwargs)
     except StuckThing as exc:
         return ("stuck", exc.tick, exc.stage_ref, str(exc))
-    ends = [
-        (label, th.stage, th.resting, th.entered_at, th.born_at)
-        for label, th in trace.things.items()
-    ]
-    return trace.entries, trace.final_tick, trace.truncated, ends, trace
 
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -150,17 +145,16 @@ def test_simulator_matches_the_reference_engine(world):
         with mock.patch.object(simulate, "ENTRY_BUDGET", 2000):
             cut = simulate.run(model, scenario)
         assert cut.truncated
-        assert len(cut.rows) == over.args[0]
+        assert len(cut.labels) == over.args[0]
         scenario = scenario._replace(max_ticks=cut.final_tick + 1)
         want = outcome(reference_sim, model, scenario)
     got = outcome(simulate, model, scenario)
-    if want[0] == "stuck":
-        assert got == want
+    assert got == want
+    if isinstance(want, tuple):  # stuck
         return
-    assert got[:4] == want[:4]
-    assert render_trace(model, got[4]) == reference_sim.render_trace(model, want[4])
+    assert render_trace(model, got) == reference_sim.render_trace(model, want)
     if cut is not None:
-        assert got[4].rows == cut.rows
+        assert (got.ticks, got.numbers, got.labels) == (cut.ticks, cut.numbers, cut.labels)
 
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -182,38 +176,9 @@ def test_projection_matches_the_reference(world, data):
     assert (got.events, got.uncovered) == reference_sim.project(model, trace, events)
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(worlds(), st.data())
-def test_a_trace_built_from_rows_reads_as_the_run_built_one(world, data):
-    """``run`` builds its trace from columns; one built from the same rows,
-    and the reference engine's over the same ticks, give equal columns,
-    text and projection."""
-    model, text = world
-    scenario = load_scenario(model, text)
+def trace_or_stuck(model, scenario):
     try:
-        with mock.patch.object(simulate, "ENTRY_BUDGET", 2000):
-            got = simulate.run(model, scenario)
-    except StuckThing:
-        return
-    rebuilt = simulate.Trace(rows=got.rows, things=got.things, final_tick=got.final_tick,
-                             truncated=got.truncated)
-    reference = reference_sim.run(model, scenario._replace(max_ticks=got.final_tick + 1))
-    regions = st.sets(st.sampled_from(sorted(model.stages)), min_size=1)
-    events = [
-        EventDef(f"e{n}", f"e{n}", frozenset(region))
-        for n, region in enumerate(data.draw(st.lists(regions, max_size=6)))
-    ]
-    assert rebuilt == got
-    for built in (rebuilt, reference):
-        assert (built.ticks, built.numbers, built.labels) == (got.ticks, got.numbers, got.labels)
-        assert built.entries == got.entries
-        assert render_trace(model, built) == render_trace(model, got)
-        assert simulate.project(model, built, events) == simulate.project(model, got, events)
-
-
-def rows_or_stuck(model, scenario):
-    try:
-        return simulate.run(model, scenario).rows
+        return simulate.run(model, scenario)
     except StuckThing as exc:
         return str(exc)
 
@@ -221,36 +186,36 @@ def rows_or_stuck(model, scenario):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(worlds())
 def test_runs_keep_the_engine_invariants(world):
-    """Sorted rows that carry their stage's declaration number, at most one
-    entry per thing per tick, births only at create stages, each step along
-    a flow out of the thing's previous stage, a wait of more than one tick
-    only at a gate, and identical rows from a second run of the same
-    scenario."""
+    """Entries sorted by (tick, declaration number, thing), a stage map that
+    numbers every stage in declaration order, at most one entry per thing
+    per tick, births only at create stages, each step along a flow out of
+    the thing's previous stage, a wait of more than one tick only at a gate,
+    and an equal trace from a second run of the same scenario."""
     model, text = world
     scenario = load_scenario(model, text)
     with mock.patch.object(simulate, "ENTRY_BUDGET", 2000):
-        rows = rows_or_stuck(model, scenario)
-        assert rows_or_stuck(model, scenario) == rows
-    if isinstance(rows, str):
+        trace = trace_or_stuck(model, scenario)
+        assert trace_or_stuck(model, scenario) == trace
+    if isinstance(trace, str):
         return
-    assert rows == tuple(sorted(rows))
-    declared = {sid: n for n, sid in enumerate(model.stages)}
-    assert all(n == declared[sid] for _, n, _, sid, _ in rows)
-    assert len({(tick, thing) for tick, _, thing, _, _ in rows}) == len(rows)
+    entries = list(zip(trace.ticks, trace.numbers, trace.labels))
+    assert entries == sorted(entries)
+    assert trace.stages == {n: (sid, s.kind) for n, (sid, s) in enumerate(model.stages.items())}
+    assert len({(tick, thing) for tick, _, thing in entries}) == len(entries)
     born = {}
-    for tick, _, thing, _, _ in rows:  # rows are sorted by tick
+    for tick, _, thing in entries:  # entries are sorted by tick
         born.setdefault(thing, tick)
     path = model.thimac_path(scenario.injections[0][1])
     for thing in born.keys() - {label for _, _, label in scenario.injections}:
         with pytest.raises(ScenarioError, match="reserved for trigger-born things"):
             load_scenario(model, f"inject 0 {path} {thing}")  # a trigger bore it
-    for tick, _, thing, sid, kind in rows:
-        assert model.stages[sid].kind is kind
-        assert (kind is ActionKind.CREATE) == (tick == born[thing])
+    for tick, n, thing in entries:
+        assert (trace.stages[n][1] is ActionKind.CREATE) == (tick == born[thing])
     targets = {g.dst for g in model.triggers.values()}
     gates = {sid for sid in targets if model.stages[sid].kind is not ActionKind.CREATE}
-    last = {}  # thing -> (tick, stage) of its previous row
-    for tick, _, thing, sid, _ in rows:
+    last = {}  # thing -> (tick, stage) of its previous entry
+    for tick, n, thing in entries:
+        sid = trace.stages[n][0]
         if thing in last:
             was, src = last[thing]
             assert sid in {f.dst for f in model.flows_from.get(src, ())}

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from thimac import SourceDocument, emit_dot, parse, serialize, validate
-from thimac.dsl import RESERVED_WORDS, _tokenize
+from thimac.dsl import RESERVED_WORDS, _tokens
 from thimac.model import ActionKind, new_model
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -343,7 +343,8 @@ def test_weird_bytes_do_not_crash():
     ],
 )
 def test_tokens_and_diagnostics_are_pinned(text, tokens, diagnostics):
-    toks, diags = _tokenize(text)
+    diags = []
+    toks = list(_tokens(text, diags))
     assert [tuple(t) for t in toks] == tokens
     assert [(d.message, d.line, d.column) for d in diags] == diagnostics
 

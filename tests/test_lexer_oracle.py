@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_lexer
-from thimac.dsl import RESERVED_WORDS, _tokenize
+from thimac.dsl import RESERVED_WORDS, _tokens
 
 #: Line breaks of every kind, blanks, digits decimal or not, quotes,
 #: escapes, comments, arrows, keywords and dotted names.
@@ -22,7 +22,8 @@ PIECES = [
 @example("flow a.b -> c.d;  \n  # note \r\n")
 @example('"a\\\\b\\"c\n"open \\\nx')
 def test_tokens_and_diagnostics_match_the_reference_lexer(text):
-    toks, diags = _tokenize(text)
+    diags = []
+    toks = list(_tokens(text, diags))
     want_toks, want_diags = reference_lexer._tokenize(text)
     assert [tuple(t) for t in toks] == [tuple(t) for t in want_toks]
     assert diags == want_diags

@@ -14,6 +14,7 @@ from thimac.model import ActionKind, new_model
 from thimac.simulate import (
     ScenarioError,
     StuckThing,
+    ThingInstance,
     Trace,
     UnknownEventInProjection,
     conforms,
@@ -30,8 +31,8 @@ def scn(corpus_dir, name):
 
 def entry_tuples(model, trace):
     return [
-        (e.time.start, e.thing, model.stage_ref(e.stage), e.kind)
-        for e in trace.entries
+        (t, thing, model.stage_ref(trace.stages[n][0]), trace.stages[n][1])
+        for t, n, thing in zip(trace.ticks, trace.numbers, trace.labels)
     ]
 
 
@@ -200,7 +201,7 @@ def test_streaming_a_trace_never_holds_its_whole_text():
     m = parse("thimac a { create; }\n").model
     rows = 20_000
     trace = run(m, load_scenario(m, "".join(f"inject 0 a t{i}\n" for i in range(rows))))
-    assert len(trace.rows) == rows
+    assert len(trace.labels) == rows
     size = len(render_trace(m, trace))
     sink = _Discard()
     tracemalloc.start()
@@ -278,8 +279,8 @@ def test_max_ticks_caps_an_endless_chatter():
     m = ping_pong_model()
     s = load_scenario(m, "inject 0 x first\nmax 7\n")
     trace = run(m, s)
-    assert trace.entries  # it did run
-    assert max(e.time.start for e in trace.entries) < 7
+    assert trace.labels  # it did run
+    assert max(trace.ticks) < 7
     assert trace.final_tick < 7
 
 
@@ -306,12 +307,11 @@ def test_a_run_that_ends_before_its_cap_is_not_truncated(toast, corpus_dir):
 def test_triggered_births_are_named_after_the_owner():
     m = ping_pong_model()
     trace = run(m, load_scenario(m, "inject 0 x first\nmax 9\n"))
-    labels = {e.thing for e in trace.entries}
-    assert {"first", "y-1", "x-1", "y-2"} <= labels
+    assert {"first", "y-1", "x-1", "y-2"} <= set(trace.labels)
     # each birth lands on the create stage one tick after the trigger
-    y1 = [e for e in trace.entries if e.thing == "y-1"]
-    assert y1[0].time.start == 2
-    assert y1[0].kind is ActionKind.CREATE
+    first = trace.labels.index("y-1")
+    assert trace.ticks[first] == 2
+    assert trace.stages[trace.numbers[first]][1] is ActionKind.CREATE
 
 
 def one_trigger_model():
@@ -351,7 +351,7 @@ def test_a_trigger_that_leaves_no_process_stage_reserves_no_label():
     m.add_trigger(xc, m.add_stage(y, ActionKind.CREATE))
     trace = run(m, load_scenario(m, "inject 0 x a\ninject 0 y y-1\n"))
     assert sorted(trace.things) == ["a", "y-1"]
-    assert {row[2] for row in trace.rows} == {"a", "y-1"}
+    assert set(trace.labels) == {"a", "y-1"}
 
 
 def test_births_are_numbered_per_owner_name():
@@ -367,7 +367,7 @@ def test_births_are_numbered_per_owner_name():
     assert len(trace.things) == 4
     assert trace.things["req-1"].stage == creates["x"]
     assert trace.things["req-2"].stage == creates["y"]
-    assert sum(e.thing == "req-1" for e in trace.entries) == 1
+    assert trace.labels.count("req-1") == 1
 
 
 def test_awakening_with_nowhere_to_go_lapses():
@@ -383,8 +383,8 @@ def test_awakening_with_nowhere_to_go_lapses():
     m.add_trigger(xp, zp)  # wakes z.process, which has no way out
     s = load_scenario(m, "inject 0 x impulse\ninject 0 z sleeper\nmax 20\n")
     trace = run(m, s)
-    sleeper_rows = [e for e in trace.entries if e.thing == "sleeper"]
-    assert [e.time.start for e in sleeper_rows] == [0, 1]
+    ticks = [t for t, label in zip(trace.ticks, trace.labels) if label == "sleeper"]
+    assert ticks == [0, 1]
     assert trace.things["sleeper"].resting
     assert trace.final_tick == 1
 
@@ -442,21 +442,22 @@ def test_entries_carry_unit_intervals(take, corpus_dir):
 def test_empty_scenario_runs_to_an_empty_trace(take):
     m = take.model
     trace = run(m, load_scenario(m, ""))
-    assert trace.entries == ()
+    assert trace.ticks == trace.numbers == trace.labels == []
     assert trace.final_tick == 0
     assert trace.things == {}
 
 
-def test_the_cli_path_reads_rows_and_builds_no_entry(library, corpus_dir):
+def test_the_cli_path_reads_columns_and_builds_no_entry(library, corpus_dir):
     m = library.model
     trace = run(m, load_scenario(m, scn(corpus_dir, "add_new_book.scn")))
     proj = project(m, trace, library.events)
     printed = render_trace(m, trace).splitlines()
     assert conforms(library.behaviors["library"], proj.events).ok
     assert "entries" not in vars(trace)
-    rebuilt = entry_tuples(m, trace)
-    assert [f"{t} {thing} {ref} {kind.value}" for t, thing, ref, kind in rebuilt] == printed
-    assert "entries" in vars(trace)  # built once, then kept
+    entries = trace.entries
+    assert [f"{e.time.start} {e.thing} {m.stage_ref(e.stage)} {e.kind.value}"
+            for e in entries] == printed
+    assert trace.entries is entries  # built once, then kept
     assert all(e.time == TimeSubthimac(e.time.start, e.time.start + 1) for e in trace.entries)
 
 
@@ -482,9 +483,9 @@ def test_budget_stops_births_that_feed_births_as_the_reference_engine_does(
     with pytest.raises(reference_sim.OverBudget) as over:
         reference_sim.run(m, scenario, budget=1000)
     assert trace.truncated
-    assert len(trace.rows) == over.value.args[0] == 1022  # checked once a tick
+    assert len(trace.labels) == over.value.args[0] == 1022  # checked once a tick
     capped = run(m, load_scenario(m, f"inject 0 a p0\nmax {trace.final_tick + 1}\n"))
-    assert capped.rows == trace.rows
+    assert capped == trace
 
 
 def test_a_run_that_ends_within_its_budget_is_not_truncated(
@@ -494,10 +495,10 @@ def test_a_run_that_ends_within_its_budget_is_not_truncated(
     scenario = load_scenario(m, scn(corpus_dir, "toast.scn"))
     whole = run(m, scenario)
     assert simulate.ENTRY_BUDGET == 1_000_000 and not whole.truncated
-    monkeypatch.setattr(simulate, "ENTRY_BUDGET", len(whole.rows))
+    monkeypatch.setattr(simulate, "ENTRY_BUDGET", len(whole.labels))
     exact = run(m, scenario)
-    assert not exact.truncated and exact.rows == whole.rows
-    monkeypatch.setattr(simulate, "ENTRY_BUDGET", len(whole.rows) - 1)
+    assert exact == whole
+    monkeypatch.setattr(simulate, "ENTRY_BUDGET", len(whole.labels) - 1)
     assert run(m, scenario).truncated
 
 
@@ -522,9 +523,8 @@ def test_a_run_keeps_its_trace_as_columns_not_rows():
     entries = 100 * (3 + 4 * 49)
     assert trace.final_tick == 99 + 2 + 4 * 49 and not trace.truncated
     assert kept < 40 * entries, kept / entries
-    assert "rows" not in vars(trace) and "entries" not in vars(trace)
-    assert len(trace.rows) == entries  # built on first read, then kept
-    assert "rows" in vars(trace) and "entries" not in vars(trace)
+    assert len(trace.labels) == entries
+    assert "entries" not in vars(trace)
 
 
 @pytest.mark.skipif(
@@ -564,20 +564,39 @@ def corpus_runs(corpus_dir):
             yield result, load_scenario(result.model, scn(corpus_dir, f"{name}.scn"))
 
 
-def test_a_trace_built_from_rows_equals_the_run_built_one(corpus_dir):
-    """The reference engine builds its trace from rows, ``run`` from columns;
-    both give the same columns, rows, entries, text and projection."""
+def test_the_reference_engine_builds_an_equal_trace(corpus_dir):
+    """The reference engine keeps its own entry tuples and builds its trace
+    through the columns constructor; it equals ``run``'s, and gives the same
+    text and projection."""
     for result, scenario in corpus_runs(corpus_dir):
         m = result.model
-        got = run(m, scenario)
-        for built in (
-            reference_sim.run(m, scenario),
-            Trace(rows=got.rows, things=got.things, final_tick=got.final_tick,
-                  truncated=got.truncated),
-        ):
-            assert built == got
-            assert (built.ticks, built.numbers, built.labels) == (
-                got.ticks, got.numbers, got.labels)
-            assert built.entries == got.entries
-            assert render_trace(m, built) == render_trace(m, got)
-            assert project(m, built, result.events) == project(m, got, result.events)
+        got, want = run(m, scenario), reference_sim.run(m, scenario)
+        assert want == got
+        assert reference_sim.render_trace(m, want) == render_trace(m, got)
+        assert project(m, want, result.events) == project(m, got, result.events)
+
+
+def test_a_trace_compares_by_its_columns():
+    """Equality covers each column, the stage map, the things and
+    ``truncated``; the repr names them in that order."""
+    fields = {
+        "ticks": [0, 2],
+        "numbers": [0, 1],
+        "labels": ["a", "a"],
+        "stages": {0: ("s0", ActionKind.CREATE), 1: ("s1", ActionKind.PROCESS)},
+        "things": {"a": ThingInstance("a", "s1", born_at=0, entered_at=2, resting=True)},
+        "truncated": False,
+    }
+    trace = Trace(**fields)
+    assert trace == Trace(**fields) and trace.final_tick == 2
+    for name, other in (
+        ("ticks", [0, 1]),
+        ("numbers", [0, 0]),
+        ("labels", ["a", "b"]),
+        ("stages", {**fields["stages"], 1: ("s1", ActionKind.RELEASE)}),
+        ("things", {"a": ThingInstance("a", "s1", born_at=0, entered_at=2)}),
+        ("truncated", True),
+    ):
+        assert trace != Trace(**{**fields, name: other}), name
+    assert repr(trace) == f"Trace({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    assert Trace([], [], [], {}, {}).final_tick == 0
