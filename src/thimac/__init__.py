@@ -18,7 +18,6 @@ from .model import (
     KIND_ORDER,
     LEGAL_SUCCESSIONS,
     ModelError,
-    Region,
     Stage,
     StaticModel,
     Thimac,

@@ -210,9 +210,7 @@ def cmd_export(args, result: ParseResult) -> int:
         return 0
     highlight = None
     if args.highlight is not None:
-        highlight = result.model.subdiagram(
-            _event_by_name(result, args.highlight).region
-        )
+        highlight = _event_by_name(result, args.highlight).region
     emit_dot(result.model, highlight, out=sys.stdout)
     return 0
 

@@ -62,7 +62,7 @@ from itertools import islice
 from typing import Iterator, NamedTuple, NoReturn
 
 from . import events as events_mod
-from .model import _KINDS, KIND_ORDER, ModelError, Region, StaticModel, _Record
+from .model import _KINDS, KIND_ORDER, ModelError, StaticModel, _Record
 from .model import anchor_order, new_model
 from .events import BehaviorModel, EventDef, TimeSubthimac
 
@@ -218,9 +218,6 @@ class _Parser:
 
     # -- token plumbing -------------------------------------------------
 
-    def peek(self) -> _Token:
-        return self.tok
-
     def advance(self) -> _Token:
         tok = self.tok
         if tok.kind != "eof":
@@ -228,7 +225,7 @@ class _Parser:
         return tok
 
     def error(self, message: str, tok: _Token | None = None) -> None:
-        tok = tok or self.peek()
+        tok = tok or self.tok
         self.diags.append(ParseDiagnostic("error", message, tok.line, tok.column))
 
     def fail(self, message: str, tok: _Token | None = None) -> NoReturn:
@@ -253,7 +250,7 @@ class _Parser:
     def sync(self, *stops: str) -> bool:
         """Skip to just past one of ``stops``; True iff that was a '}'."""
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "eof":
                 return False
             self.advance()
@@ -274,8 +271,8 @@ class _Parser:
             "event": (self.parse_event, ("}",)),
             "behavior": (self.parse_behavior, ("}",)),
         }
-        while self.peek().kind != "eof":
-            tok = self.peek()
+        while self.tok.kind != "eof":
+            tok = self.tok
             if tok.kind == "ident" and tok.value in statements:
                 parse_statement, stops = statements[tok.value]
                 try:
@@ -331,7 +328,7 @@ class _Parser:
         self.open_thimac(blocks)
         while blocks:
             kw, tid = blocks[-1]
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "}":
                 self.advance()
                 blocks.pop()
@@ -374,7 +371,7 @@ class _Parser:
         kw = self.advance()
         alias: str | None = None
         try:
-            if self.peek().kind == "ident" and self.peek().value == "as":
+            if self.tok.kind == "ident" and self.tok.value == "as":
                 self.advance()
                 alias = self.parse_name("stage alias").value
             self.end()
@@ -386,7 +383,7 @@ class _Parser:
         """Collect a dotted reference; returns its text, resolution later."""
         first = self.expect("ident", "a stage reference")
         parts = [first.value]
-        while self.peek().kind == ".":
+        while self.tok.kind == ".":
             self.advance()
             parts.append(self.expect("ident", "a name after '.'").value)
         if len(parts) < 2:
@@ -404,8 +401,8 @@ class _Parser:
         anchor: int | None = None
         while (
             kw.value == "flow"
-            and self.peek().kind == "ident"
-            and self.peek().value in ("carries", "anchor")
+            and self.tok.kind == "ident"
+            and self.tok.value in ("carries", "anchor")
         ):
             if self.advance().value == "carries":
                 carries = self.expect("string", "a quoted thing label").value
@@ -418,18 +415,18 @@ class _Parser:
         self.advance()
         name = self.parse_name("event")
         self.expect("{", "'{'")
-        tok = self.peek()
+        tok = self.tok
         if not (tok.kind == "ident" and tok.value == "region"):
             self.fail("an event block starts with 'region'")
         self.advance()
         self.expect("[", "'['")
         refs = [self.parse_stage_ref()]
-        while self.peek().kind == ",":
+        while self.tok.kind == ",":
             self.advance()
             refs.append(self.parse_stage_ref())
         self.expect("]", "']'")
         time: TimeSubthimac | None = None
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "ident" and tok.value == "time":
             self.advance()
             lo = self.expect("int", "a start tick")
@@ -444,7 +441,7 @@ class _Parser:
         self.expect("{", "'{'")
         edges: list[tuple[_Token, _Token]] = []
         while True:
-            tok = self.peek()
+            tok = self.tok
             if tok.kind == "}":
                 self.advance()
                 break
@@ -682,18 +679,21 @@ def _write_chunks(pieces: Iterator[str], out=None) -> str | None:
 def _nesting(model: StaticModel):
     """Walk the nesting forest depth-first, children in declaration order.
 
-    Yields ``(tid, depth, True)`` where a thimac's block opens and
-    ``(tid, depth, False)`` where it closes.  The walk keeps its own
-    stack, so nesting depth is unbounded.
+    The forest is read from each thimac's ``parent`` link, the one place
+    the model stores it.  Yields ``(tid, depth, True)`` where a thimac's
+    block opens and ``(tid, depth, False)`` where it closes.  The walk
+    keeps its own stack, so nesting depth is unbounded.
     """
-    stack = [(tid, 0, True) for tid in reversed(model.roots)]
+    children: dict[str | None, list[str]] = {}  # None -> the roots
+    for tid, thimac in model.thimacs.items():
+        children.setdefault(thimac.parent, []).append(tid)
+    stack = [(tid, 0, True) for tid in reversed(children.get(None, ()))]
     while stack:
         tid, depth, opening = stack.pop()
         yield tid, depth, opening
         if opening:
             stack.append((tid, depth, False))
-            children = model.thimacs[tid].children
-            stack += [(child, depth + 1, True) for child in reversed(children)]
+            stack += [(child, depth + 1, True) for child in reversed(children.get(tid, ()))]
 
 
 def _stages_in_kind_order(model: StaticModel, tid: str):
@@ -756,12 +756,13 @@ def _canonical_lines(model: StaticModel, events, behaviors):
 
 
 def _thimac_lines(model: StaticModel):
+    first_root = next(iter(model.thimacs), None)  # the first declared is a root
     for tid, depth, opening in _nesting(model):
         pad = "  " * depth
         if not opening:
             yield f"{pad}}}\n"
             continue
-        if depth == 0 and tid != model.roots[0]:
+        if depth == 0 and tid != first_root:
             yield "\n"  # between two top-level blocks
         name = _name(model.thimacs[tid].name, f"thimac {tid}")
         yield f"{pad}thimac {name} {{\n"
@@ -802,19 +803,18 @@ def _behavior_lines(name: str, behavior: BehaviorModel):
 # DOT export
 
 
-def emit_dot(model: StaticModel, highlight: Region | None = None, out=None) -> str | None:
+def emit_dot(model: StaticModel, highlight=None, out=None) -> str | None:
     """Graphviz rendering: nested clusters, solid flows, dashed triggers.
 
-    ``highlight`` fills the given region's stages so one event can be
-    picked out of the full diagram.  Returns the text, or writes it to the
-    stream ``out`` ``_CHUNK`` lines a write through ``_write_chunks`` and
-    returns None.
+    ``highlight``, a set of stage ids such as an event's ``region``, fills
+    those stages so one event can be picked out of the full diagram.
+    Returns the text, or writes it to the stream ``out`` ``_CHUNK`` lines
+    a write through ``_write_chunks`` and returns None.
     """
-    return _write_chunks(_dot_lines(model, highlight), out)
+    return _write_chunks(_dot_lines(model, highlight or ()), out)
 
 
-def _dot_lines(model: StaticModel, highlight: Region | None):
-    lit = highlight.stages if highlight is not None else frozenset()
+def _dot_lines(model: StaticModel, lit):
     yield "digraph tm {\n"
     yield "  rankdir=LR;\n"
     yield "  compound=true;\n"

@@ -80,10 +80,10 @@ def define_event(
     time: TimeSubthimac | None = None,
 ) -> EventDef:
     """Declare an event over ``region`` (stage ids); region must connect."""
-    sub = model.subdiagram(region)
-    if not sub.connected:
+    region = frozenset(region)
+    if not model.connected(region):
         raise DisconnectedRegion(f"event {name!r}: region is not connected")
-    return EventDef(id=name, name=name, region=sub.stages, time=time)
+    return EventDef(id=name, name=name, region=region, time=time)
 
 
 # ---------------------------------------------------------------------------

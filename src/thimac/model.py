@@ -14,9 +14,11 @@ treated as immutable; every downstream operation is a pure function of the
 model, so sharing a model across threads is safe as long as nobody keeps
 calling the ``add_*`` methods.
 
+The nesting forest is stored once, as each thimac's ``parent`` link;
+a renderer that walks it builds the child lists from those links.
 Besides the raw dicts a model keeps the lookup tables every layer reads:
 the flows and triggers leaving each stage, anchor -> flow, and dotted
-path -> thimac with its inverse, from which paths and nesting are read.
+path -> thimac with its inverse, from which paths and ancestry are read.
 Only the ``add_*`` methods write the raw dicts and the tables alike, so
 a model built through them never holds a stale table.  Code that edits
 the raw dicts directly gets a model whose tables no longer match;
@@ -27,7 +29,6 @@ parent links from the raw dicts.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
 
 
 class ActionKind(Enum):
@@ -182,13 +183,12 @@ class _Record:
 class Thimac(_Record):
     """A thing/machine: one node of the nesting forest."""
 
-    __slots__ = _fields = ("id", "name", "parent", "stages", "children")
+    __slots__ = _fields = ("id", "name", "parent", "stages")
 
     def __init__(self, id: str, name: str, parent: str | None = None,
-                 stages: dict | None = None, children: list | None = None) -> None:
+                 stages: dict | None = None) -> None:
         self.id, self.name, self.parent = id, name, parent
         self.stages = {} if stages is None else stages
-        self.children = [] if children is None else children
 
 
 class Stage(_Record):
@@ -220,26 +220,18 @@ class Trigger(_Record):
         self.id, self.src, self.dst = id, src, dst
 
 
-class Region(NamedTuple):
-    """A stage set and whether its induced flows and triggers connect it."""
-
-    stages: frozenset[str]
-    connected: bool
-
-
 class StaticModel(_Record):
     """A mutable-while-building container for one static model.  It equals
-    a model with equal raw dicts, ``roots`` and ``origin`` (the tables
-    derive from them), so it is unhashable; its repr lists those fields."""
+    a model with equal raw dicts and ``origin`` (the tables derive from
+    them), so it is unhashable; its repr lists those fields."""
 
-    _fields = ("thimacs", "stages", "flows", "triggers", "roots", "origin")
+    _fields = ("thimacs", "stages", "flows", "triggers", "origin")
 
     def __init__(self) -> None:
         self.thimacs: dict[str, Thimac] = {}
         self.stages: dict[str, Stage] = {}
         self.flows: dict[str, Flow] = {}
         self.triggers: dict[str, Trigger] = {}
-        self.roots: list[str] = []
         # source positions (entity id -> (line, col)), filled by the parser
         self.origin: dict[str, tuple[int, int]] = {}
         #: stage id -> flows leaving it / triggers sourced at it, declared order
@@ -269,10 +261,6 @@ class StaticModel(_Record):
             raise DuplicateSiblingName(f"thimac name {name!r} already used at this level")
         tid = self._next_id("t")
         self.thimacs[tid] = Thimac(id=tid, name=name, parent=parent)
-        if parent is None:
-            self.roots.append(tid)
-        else:
-            self.thimacs[parent].children.append(tid)
         self.thimac_at[path] = tid
         self._path_of[tid] = path
         return tid
@@ -372,13 +360,9 @@ class StaticModel(_Record):
 
     # -- regions -------------------------------------------------------
 
-    def subdiagram(self, stage_ids) -> Region:
-        """Induced subdiagram over a stage set, with a connectivity verdict.
-
-        Flows and triggers are included when both endpoints lie in the set;
-        connectivity is judged over the undirected union of both edge kinds.
-        A single stage is trivially connected.
-        """
+    def connected(self, stage_ids) -> bool:
+        """True iff the flows and triggers with both ends in a stage set
+        join it, read as undirected edges.  A single stage is connected."""
         stage_set = frozenset(stage_ids)
         if not stage_set:
             raise EmptyRegion("a region must contain at least one stage")
@@ -393,7 +377,7 @@ class StaticModel(_Record):
                     adj[sid].add(arrow.dst)
                     adj[arrow.dst].add(sid)
         seen = reachable(adj, [next(iter(stage_set))])
-        return Region(stages=stage_set, connected=len(seen) == len(stage_set))
+        return len(seen) == len(stage_set)
 
 
 def reachable(succ, starts) -> set:

@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .model import _C, _P, ActionKind, StaticModel, _Record, anchor_order, reachable
 from .events import TimeSubthimac
-from .dsl import _CHUNK, _write_chunks  # _CHUNK: render_trace's lines per write
+from .dsl import _write_chunks
 
 
 #: a run stops after the first tick that leaves it with more entries than
@@ -339,7 +339,7 @@ def run(model: StaticModel, scenario: Scenario) -> Trace:
 def render_trace(model: StaticModel, trace: Trace, out=None) -> str | None:
     """One line per entry: ``<tick> <thing> <stage-ref> <kind>``.
 
-    Returns the text, or writes it to the stream ``out`` ``_CHUNK`` lines a
+    Returns the text, or writes it to the stream ``out`` ``dsl._CHUNK`` lines a
     write, each ending in a newline, through ``dsl._write_chunks`` as the
     model exports do, and returns None.
     """

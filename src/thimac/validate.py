@@ -1,9 +1,14 @@
 """Whole-model semantic checks and the verb genericity lexicon.
 
-The validator re-derives every rule the constructive API enforces (so that
-hand-built or deserialized models can be audited), plus the diagram-level
-rules that no single ``add_*`` call can see.  Each finding carries its
-entity's source line from ``model.origin``.  Diagnostic codes are stable:
+The validator re-derives four of the rules the constructive API enforces,
+so that hand-edited models can be audited: one stage per kind in a
+machine (V1), the succession table with flow ends that are stages (V2),
+transfer pairing across machines (V3) and a nesting forest (V4).  It
+does not re-derive the others: a trigger's ends, a self-trigger, a
+duplicate alias and a parent link to a missing thimac pass unreported.
+It adds the diagram-level rules that no single ``add_*`` call can see.
+Each finding carries its entity's source line from ``model.origin``.
+Diagnostic codes are stable:
 
 =====  ========  ====================================================
 code   severity  meaning

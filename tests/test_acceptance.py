@@ -72,7 +72,7 @@ def test_criterion_1_library_corpus_integrity(library):
     if len(library.events) != 27:
         problems.append(f"{len(library.events)} events, wanted 27")
     for ev in library.events:
-        if not model.subdiagram(ev.region).connected:
+        if not model.connected(ev.region):
             problems.append(f"event {ev.name} region is not connected")
     _verdict(1, "library corpus integrity", problems)
 

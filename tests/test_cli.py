@@ -15,7 +15,7 @@ import thimac
 from conftest import chain_events, chain_texts
 from thimac import cli as cli_mod
 from thimac import simulate
-from thimac.dsl import parse, serialize
+from thimac.dsl import _CHUNK, parse, serialize
 
 LIB = "corpus/library.tm"
 TOAST = "corpus/toast.tm"
@@ -398,7 +398,7 @@ def _one_stage_run(tmp_path, things: int):
     return f, s
 
 
-@pytest.mark.parametrize("rows", [0, simulate._CHUNK, simulate._CHUNK + 1])
+@pytest.mark.parametrize("rows", [0, _CHUNK, _CHUNK + 1])
 def test_simulate_streams_the_text_render_trace_returns(tmp_path, capsys, rows):
     f, s = _one_stage_run(tmp_path, rows)
     m = parse(f.read_text()).model

@@ -39,8 +39,7 @@ def test_triggers_are_dashed_flows_are_not(toast):
 
 def test_highlight_fills_exactly_the_region(toast):
     ev = next(e for e in toast.events if e.name == "toast_buttered")
-    region = toast.model.subdiagram(ev.region)
-    out = emit_dot(toast.model, highlight=region)
+    out = emit_dot(toast.model, highlight=ev.region)
     filled = [ln for ln in out.splitlines() if "fillcolor" in ln]
     assert len(filled) == len(ev.region)
     assert emit_dot(toast.model).count("fillcolor") == 0

@@ -38,7 +38,7 @@ def test_corpus_exports_write_the_text_they_return(name):
     m = result.model
     declared = (m, result.events, result.behaviors)
     assert streamed(serialize, *declared) == serialize(*declared)
-    for highlight in [None, *(m.subdiagram(ev.region) for ev in result.events)]:
+    for highlight in [None, *(ev.region for ev in result.events)]:
         assert streamed(emit_dot, m, highlight) == emit_dot(m, highlight)
 
 

@@ -133,7 +133,7 @@ def test_dotted_name_is_rejected_so_every_stage_keeps_its_own_ref():
         m.add_thimac("a.b")  # its create stage would also read a.b.create
     with pytest.raises(DottedName):
         m.add_thimac("b.", a)
-    assert len(m.thimacs) == 2 and m.roots == [a]
+    assert len(m.thimacs) == 2
     assert m.resolve_stage_ref("a.b.create") == inner
 
 
@@ -180,36 +180,31 @@ def test_paths_and_refs_round_trip():
     assert m.thimac_at.get("outer.inner") == inner
 
 
-def test_subdiagram_connectivity():
+def test_connected_regions():
     m, a, b, st = chain_model()
     m.add_flow(st["a", ActionKind.CREATE], st["a", ActionKind.RELEASE])
     m.add_flow(st["b", ActionKind.RECEIVE], st["b", ActionKind.PROCESS])
-    region = m.subdiagram([st["a", ActionKind.CREATE], st["a", ActionKind.RELEASE]])
-    assert region.connected
-    split = m.subdiagram(
-        [st["a", ActionKind.CREATE], st["b", ActionKind.PROCESS]]
-    )
-    assert not split.connected
+    assert m.connected([st["a", ActionKind.CREATE], st["a", ActionKind.RELEASE]])
+    assert not m.connected([st["a", ActionKind.CREATE], st["b", ActionKind.PROCESS]])
 
 
-def test_subdiagram_trigger_counts_for_connectivity():
+def test_trigger_counts_for_connectivity():
     m, a, b, st = chain_model()
     m.add_trigger(st["b", ActionKind.PROCESS], st["a", ActionKind.CREATE])
-    region = m.subdiagram([st["b", ActionKind.PROCESS], st["a", ActionKind.CREATE]])
-    assert region.connected
+    assert m.connected([st["b", ActionKind.PROCESS], st["a", ActionKind.CREATE]])
 
 
-def test_subdiagram_rejects_empty_and_unknown():
+def test_connected_rejects_empty_and_unknown():
     m, *_ = chain_model()
     with pytest.raises(EmptyRegion):
-        m.subdiagram([])
+        m.connected([])
     with pytest.raises(UnknownStage):
-        m.subdiagram(["s999"])
+        m.connected(["s999"])
 
 
 def test_singleton_region_is_connected():
     m, a, b, st = chain_model()
-    assert m.subdiagram([st["a", ActionKind.CREATE]]).connected
+    assert m.connected([st["a", ActionKind.CREATE]])
 
 
 def test_depth_first_iteration_order():
@@ -335,3 +330,23 @@ def test_tables_match_a_derivation_from_the_raw_dicts(m):
         assert m.resolve_stage_ref(m.stage_ref(sid)) == sid
         if stage.alias not in (None, "create"):  # a kind keyword resolves as the kind
             assert m.resolve_stage_ref(f"{m.thimac_path(stage.owner)}.{stage.alias}") == sid
+
+
+@settings(max_examples=200, deadline=None)
+@given(built_models())
+def test_nesting_walks_the_forest_of_parent_links(m):
+    def preorder(parent, depth):  # each thimac after its parent, siblings declared order
+        for tid, t in m.thimacs.items():
+            if t.parent == parent:
+                yield tid, depth
+                yield from preorder(tid, depth + 1)
+
+    opened, open_now = [], []
+    for tid, depth, opening in _nesting(m):
+        if opening:
+            opened.append((tid, depth))
+            open_now.append((tid, depth))
+        else:  # closes the innermost open block
+            assert open_now.pop() == (tid, depth)
+    assert not open_now
+    assert opened == list(preorder(None, 0))

@@ -99,11 +99,11 @@ def regions(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(regions())
-def test_subdiagram_is_connected_exactly_when_every_stage_is_joined(case):
+def test_connected_exactly_when_every_stage_is_joined(case):
     m, region = case
     nodes = sorted(region)
     arrows = [*m.flows.values(), *m.triggers.values()]
     edges = {(x.src, x.dst) for x in arrows if {x.src, x.dst} <= region}
     paths = closure(nodes, edges | {(b, a) for a, b in edges})
     expected = all(b == nodes[0] or paths[nodes[0]][b] for b in nodes)
-    assert m.subdiagram(region).connected == expected
+    assert m.connected(region) == expected

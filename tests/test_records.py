@@ -8,7 +8,6 @@ from thimac import (
     Diagnostic,
     EventDef,
     Flow,
-    Region,
     Stage,
     TimeSubthimac,
     Trigger,
@@ -26,11 +25,6 @@ VALUES = {
         EventDef("e", "e", frozenset({"s1", "s2"})),
         EventDef(id="e", name="e", region=frozenset({"s2", "s1"}), time=None),
         EventDef("e", "e", frozenset({"s1", "s2"}), TimeSubthimac(0, 1)),
-    ),
-    "Region": (
-        Region(frozenset({"s1", "s2"}), True),
-        Region(stages=frozenset({"s2", "s1"}), connected=True),
-        Region(frozenset({"s1", "s2"}), False),
     ),
     "Diagnostic": (
         Diagnostic("V5", "warning", "a.create", "dead", 3),
@@ -84,7 +78,7 @@ def test_entities_compare_by_fields_and_name_them_in_their_repr():
     assert not hasattr(stage, "__dict__") and not hasattr(flow, "__dict__")
 
 
-def test_models_compare_by_declarations_roots_and_origin():
+def test_models_compare_by_declarations_and_origin():
     def build():
         m = new_model()
         a = m.add_thimac("a")
@@ -98,5 +92,5 @@ def test_models_compare_by_declarations_roots_and_origin():
     with pytest.raises(TypeError):
         hash(one)
     assert repr(new_model()) == (
-        "StaticModel(thimacs={}, stages={}, flows={}, triggers={}, roots=[], origin={})"
+        "StaticModel(thimacs={}, stages={}, flows={}, triggers={}, origin={})"
     )

@@ -8,7 +8,7 @@ import pytest
 import reference_sim
 from conftest import chain_events, chain_texts, parse_corpus
 from thimac import simulate
-from thimac.dsl import parse
+from thimac.dsl import _CHUNK, parse
 from thimac.events import EventDef, TimeSubthimac
 from thimac.model import ActionKind, new_model
 from thimac.simulate import (
@@ -210,7 +210,7 @@ def test_streaming_a_trace_never_holds_its_whole_text():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sink.writes == -(-rows // simulate._CHUNK)
+    assert sink.writes == -(-rows // _CHUNK)
     assert peak < size / 4, (peak, size)
 
 
