@@ -63,7 +63,7 @@ from typing import Iterator, NamedTuple, NoReturn
 
 from . import events as events_mod
 from .model import _KINDS, KIND_ORDER, ModelError, StaticModel, _Record
-from .model import anchor_order, new_model
+from .model import anchor_order, new_model, reachable
 from .events import BehaviorModel, EventDef, TimeSubthimac
 
 STRUCTURE_KEYWORDS = {
@@ -682,11 +682,15 @@ def _nesting(model: StaticModel):
     The forest is read from each thimac's ``parent`` link, the one place
     the model stores it.  Yields ``(tid, depth, True)`` where a thimac's
     block opens and ``(tid, depth, False)`` where it closes.  The walk
-    keeps its own stack, so nesting depth is unbounded.
+    keeps its own stack, so nesting depth is unbounded.  A thimac no root
+    reaches (a hand-edited parent) raises ValueError before the first yield.
     """
     children: dict[str | None, list[str]] = {}  # None -> the roots
     for tid, thimac in model.thimacs.items():
         children.setdefault(thimac.parent, []).append(tid)
+    reached = reachable(children, [None])
+    if lost := [tid for tid in model.thimacs if tid not in reached]:
+        raise ValueError(f"no root reaches thimac {', '.join(lost)} through parent links")
     stack = [(tid, 0, True) for tid in reversed(children.get(None, ()))]
     while stack:
         tid, depth, opening = stack.pop()

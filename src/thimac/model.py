@@ -22,8 +22,9 @@ path -> thimac with its inverse, from which paths and ancestry are read.
 Only the ``add_*`` methods write the raw dicts and the tables alike, so
 a model built through them never holds a stale table.  Code that edits
 the raw dicts directly gets a model whose tables no longer match;
-:func:`thimac.validate.validate` audits its stages, flows, triggers and
-parent links from the raw dicts.
+:func:`thimac.validate.validate` audits its raw dicts by the rules the
+``add_*`` methods apply (arrows through the same ``flow_error`` and
+``trigger_error``) and each thimac's name and parent against its path.
 """
 
 from __future__ import annotations
@@ -287,24 +288,11 @@ class StaticModel(_Record):
         thimac.stages[kind] = sid
         return sid
 
-    def add_flow(
-        self,
-        src: str,
-        dst: str,
-        carries: str | None = None,
-        anchor: int | None = None,
-    ) -> str:
-        """Add a flow after checking boundary pairing and succession."""
-        for sid in (src, dst):
-            if sid not in self.stages:
-                raise UnknownStage(f"unknown stage {sid!r}")
-        a, b = self.stages[src], self.stages[dst]
-        same_scope = a.owner == b.owner or self.nesting_related(a.owner, b.owner)
-        if not legal_successor(a.kind, b.kind, same_scope):
-            if same_scope:
-                raise IllegalSuccession(a.kind, b.kind, same_scope)
-            # transfer -> transfer is the only legal step across machines
-            raise UnpairedBoundaryCrossing(self.stage_ref(src), self.stage_ref(dst))
+    def add_flow(self, src: str, dst: str, carries: str | None = None,
+                 anchor: int | None = None) -> str:
+        """Add a flow that :meth:`flow_error` passes."""
+        if error := self.flow_error(src, dst):
+            raise error
         fid = self._next_id("f")
         flow = self.flows[fid] = Flow(fid, src, dst, carries, anchor)
         self.flows_from.setdefault(src, []).append(flow)
@@ -313,16 +301,37 @@ class StaticModel(_Record):
         return fid
 
     def add_trigger(self, src: str, dst: str) -> str:
-        """Add a trigger; any two kinds may be linked, but not a stage to itself."""
-        for sid in (src, dst):
-            if sid not in self.stages:
-                raise UnknownStage(f"unknown stage {sid!r}")
-        if src == dst:
-            raise SelfTrigger(f"stage {self.stage_ref(src)} cannot trigger itself")
+        """Add a trigger that :meth:`trigger_error` passes."""
+        if error := self.trigger_error(src, dst):
+            raise error
         gid = self._next_id("g")
         trigger = self.triggers[gid] = Trigger(gid, src, dst)
         self.triggers_from.setdefault(src, []).append(trigger)
         return gid
+
+    def flow_error(self, src: str, dst: str) -> ModelError | None:
+        """Why a flow from ``src`` to ``dst`` breaks the grammar, or None:
+        both ends are stages, and the succession table allows the pair in
+        its scope, where crossing between machines pairs two transfers."""
+        a, b = self.stages.get(src), self.stages.get(dst)
+        if a is None or b is None:
+            return UnknownStage(f"unknown stage {src if a is None else dst!r}")
+        same_scope = a.owner == b.owner or self.nesting_related(a.owner, b.owner)
+        if legal_successor(a.kind, b.kind, same_scope):
+            return None
+        if same_scope:
+            return IllegalSuccession(a.kind, b.kind, same_scope)
+        # transfer -> transfer is the only legal step across machines
+        return UnpairedBoundaryCrossing(self.stage_ref(src), self.stage_ref(dst))
+
+    def trigger_error(self, src: str, dst: str) -> ModelError | None:
+        """Why a trigger from ``src`` to ``dst`` is not allowed, or None: any
+        two kinds may be linked, but only two stages, and not one to itself."""
+        if src not in self.stages or dst not in self.stages:
+            return UnknownStage(f"unknown stage {dst if src in self.stages else src!r}")
+        if src == dst:
+            return SelfTrigger(f"stage {self.stage_ref(src)} cannot trigger itself")
+        return None
 
     # -- structure queries --------------------------------------------
 

@@ -217,10 +217,13 @@ def _fired(model: StaticModel, sid: str) -> tuple[tuple, tuple]:
     """What entering stage ``sid`` fires, (births, wakes): the one trigger
     rule.  Only a process stage fires; a trigger into a create stage births
     there, as (create stage, owner name), and any other wakes its target.
+    A target that is no stage, in a hand-edited model, raises SimulationError.
     """
     born, woken = [], []
     for trig in model.triggers_from.get(sid, ()) if model.stages[sid].kind is _P else ():
-        target = model.stages[trig.dst]
+        target = model.stages.get(trig.dst)
+        if target is None:
+            raise SimulationError(f"trigger {trig.id} ends at unknown stage {trig.dst!r}")
         if target.kind is _C:
             born.append((trig.dst, model.thimacs[target.owner].name))
         else:
@@ -245,6 +248,9 @@ def _stage_table(model: StaticModel, chosen=()) -> dict[str, list]:
         born, woken = _fired(model, sid) if sid in model.triggers_from else ((), ())
         rests = sid not in model.flows_from or sid in targets and kind is not _C
         table[sid] = [[sid, n, kind, rests, born, woken], None, None]
+    for flow in model.flows.values():
+        if flow.dst not in table:
+            raise SimulationError(f"flow {flow.id} ends at unknown stage {flow.dst!r}")
     for sid, outs in model.flows_from.items():  # most stages have one way out
         default = table[(min(outs, key=anchor_order) if len(outs) > 1 else outs[0]).dst][0]
         table[sid][1:] = (None if sid in chosen else default), default
@@ -416,7 +422,8 @@ def conforms(behavior, projected, transitive: bool = False) -> ConformanceReport
 
     Every adjacent pair must be a declared precedence edge; with
     ``transitive`` a pair may also be bridged by a directed path.  A
-    repeated event needs an explicit cycle to conform.
+    repeated event needs an explicit cycle to conform.  A pair that fails
+    again repeats its first problem string rather than building another.
     """
     for ev in projected:
         if ev.id not in behavior.events:
@@ -427,10 +434,12 @@ def conforms(behavior, projected, transitive: bool = False) -> ConformanceReport
     for a, b in behavior.edges:
         succ.setdefault(a, set()).add(b)
     problems: list[str] = []
+    said: dict[tuple[str, str], str] = {}  # (a, b) -> its problem string
     ids = [ev.id for ev in projected]
     for a, b in zip(ids, ids[1:]):
         after = succ.get(a, ())
         if b in after or transitive and b in reachable(succ, after):
             continue
-        problems.append(f"{a} -> {b} is not an allowed succession")
+        problems.append(said.get((a, b))
+                        or said.setdefault((a, b), f"{a} -> {b} is not an allowed succession"))
     return ConformanceReport(not problems, tuple(problems))

@@ -1,14 +1,12 @@
 """Whole-model semantic checks and the verb genericity lexicon.
 
-The validator re-derives four of the rules the constructive API enforces,
-so that hand-edited models can be audited: one stage per kind in a
-machine (V1), the succession table with flow ends that are stages (V2),
-transfer pairing across machines (V3) and a nesting forest (V4).  It
-does not re-derive the others: a trigger's ends, a self-trigger, a
-duplicate alias and a parent link to a missing thimac pass unreported.
-It adds the diagram-level rules that no single ``add_*`` call can see.
-Each finding carries its entity's source line from ``model.origin``.
-Diagnostic codes are stable:
+The validator audits a model's raw dicts as they stand, holding a
+hand-edited model to the rules the constructive API enforces: each flow
+and trigger goes through the rule ``add_flow`` or ``add_trigger`` raises
+on, with that exception's text (V2, V3, V7, V8), and the rules no one
+arrow decides are checked set-wide (V1, V4, V9, V10).  It adds rules no
+``add_*`` call can see (V5, V6).  Each finding carries its entity's
+source line from ``model.origin``.  Diagnostic codes are stable:
 
 =====  ========  ====================================================
 code   severity  meaning
@@ -19,6 +17,10 @@ V3     error     boundary-crossing flow that is not transfer-transfer
 V4     error     thimac nesting contains a cycle (not a forest)
 V5     warning   stage with no incident flow and no incident trigger
 V6     warning   transfer stage that never faces another machine
+V7     error     trigger end that is not a stage
+V8     error     stage that triggers itself
+V9     error     two stages of one machine that share an alias
+V10    error     parent missing, or name and parent off the recorded path
 B1     warning   precedence edge with no arrow between the two regions
 B2     warning   event unreachable from any source event
 B3     warning   precedence graph contains a cycle
@@ -32,12 +34,13 @@ from __future__ import annotations
 from typing import Literal, NamedTuple
 
 from .model import _P, _RCV, _REL, _T, ActionKind, StaticModel, legal_successor
+from .model import UnknownStage, UnpairedBoundaryCrossing
 
 Severity = Literal["error", "warning"]
 
 #: Each code's severity, as tabled above: the one place it is decided.
 _SEVERITY: dict[str, Severity] = {
-    **dict.fromkeys(("V1", "V2", "V3", "V4"), "error"),
+    **dict.fromkeys(("V1", "V2", "V3", "V4", "V7", "V8", "V9", "V10"), "error"),
     **dict.fromkeys(("V5", "V6", "B1", "B2", "B3"), "warning"),
 }
 
@@ -75,14 +78,16 @@ def validate(model: StaticModel) -> list[Diagnostic]:
     def report(code: str, subject: str, message: str, entity: str) -> None:
         out.append(_finding(code, subject, message, model.origin.get(entity, (0,))[0]))
 
-    # V1: the constructive API cannot produce this, but raw models can.
-    per_machine: dict[tuple[str, ActionKind], list[str]] = {}
+    # V1 and V9: the constructive API cannot produce these, but raw models can.
+    per_machine: dict[tuple, int] = {}  # (owner, kind or alias) -> stages with it
     for stage in model.stages.values():
-        per_machine.setdefault((stage.owner, stage.kind), []).append(stage.id)
-    for (owner, kind), sids in per_machine.items():
-        if len(sids) > 1:
-            message = f"machine declares {len(sids)} {kind.value} stages"
-            report("V1", model.thimac_path(owner), message, owner)
+        for key in (stage.kind,) if stage.alias is None else (stage.kind, stage.alias):
+            per_machine[stage.owner, key] = per_machine.get((stage.owner, key), 0) + 1
+    for (owner, key), count in per_machine.items():
+        if count > 1:
+            what = f"stages aliased {key!r}" if isinstance(key, str) else f"{key.value} stages"
+            report("V9" if isinstance(key, str) else "V1", model.thimac_path(owner),
+                   f"machine declares {count} {what}", owner)
 
     # V4 first so V2/V3 can still use ancestry on the sane part of the forest.
     # Each parent walk stops where an earlier one passed: all above is known.
@@ -103,6 +108,20 @@ def validate(model: StaticModel) -> list[Diagnostic]:
         message = "thimac nesting is cyclic; models must form a forest"
         report("V4", model.thimacs[tid].name, message, tid)
 
+    # V10: outside a V4 cycle, a thimac's parent exists and, with its name,
+    # gives the path add_thimac recorded, by which every reference is read
+    for tid, thimac in model.thimacs.items():
+        parent, recorded = thimac.parent, model.thimac_path(tid)
+        if tid in cyclic:
+            continue
+        if parent is None or parent in model.thimacs:
+            path = thimac.name if parent is None else f"{model.thimac_path(parent)}.{thimac.name}"
+            if path != recorded:
+                message = f"name and parent give the path {path!r}, not {recorded!r} as built"
+                report("V10", recorded, message, tid)
+        else:
+            report("V10", recorded, f"parent thimac {parent!r} is missing", tid)
+
     # For V5 and V6: the stages any arrow touches, and the ends of flows
     # between two machines (a dangling end is V2's finding, not a machine).
     touched = {end for g in model.triggers.values() for end in (g.src, g.dst)}
@@ -111,28 +130,18 @@ def validate(model: StaticModel) -> list[Diagnostic]:
         touched.update((flow.src, flow.dst))
         src = model.stages.get(flow.src)
         dst = model.stages.get(flow.dst)
-        if src is None or dst is None:
-            report("V2", flow.id, "flow endpoint is not a stage", flow.id)
-            continue
-        if src.owner != dst.owner:
-            faces_outside.update((flow.src, flow.dst))
-        if src.owner in cyclic or dst.owner in cyclic:
-            continue  # ancestry is meaningless inside a V4 cycle
-        same_scope = src.owner == dst.owner or model.nesting_related(
-            src.owner, dst.owner
-        )
-        if legal_successor(src.kind, dst.kind, same_scope):
-            continue
-        if same_scope:
-            code = "V2"
-            message = f"{src.kind.value} may not flow into {dst.kind.value} here"
-        else:  # transfer -> transfer is the only legal step across machines
-            code = "V3"
-            message = (
-                f"{model.stage_ref(flow.src)} -> {model.stage_ref(flow.dst)} "
-                "crosses machines without a transfer pair"
-            )
-        report(code, flow.id, message, flow.id)
+        if src is not None and dst is not None:
+            if src.owner != dst.owner:
+                faces_outside.update((flow.src, flow.dst))
+            if src.owner in cyclic or dst.owner in cyclic:
+                continue  # ancestry is meaningless inside a V4 cycle
+        if error := model.flow_error(flow.src, flow.dst):
+            code = "V3" if isinstance(error, UnpairedBoundaryCrossing) else "V2"
+            report(code, flow.id, str(error), flow.id)
+    for trigger in model.triggers.values():
+        if error := model.trigger_error(trigger.src, trigger.dst):
+            code = "V7" if isinstance(error, UnknownStage) else "V8"
+            report(code, trigger.id, str(error), trigger.id)
 
     for sid, stage in model.stages.items():
         if sid not in touched:
@@ -142,7 +151,7 @@ def validate(model: StaticModel) -> list[Diagnostic]:
             message = "transfer stage never crosses toward another machine"
             report("V6", model.stage_ref(sid), message, sid)
 
-    out.sort(key=lambda d: (d.code, d.subject, d.message))
+    out.sort(key=lambda d: (len(d.code), d.code, d.subject, d.message))
     return out
 
 

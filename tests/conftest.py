@@ -79,6 +79,41 @@ def chain_events(relays: int) -> str:
     return f"{events}behavior relay {{\n{edges}}}\n"
 
 
+def _retriggered(dst):
+    """A legal trigger from ``b.hands.process``, then its target edited to
+    the stage ``dst`` names, or to ``dst`` itself when it names none."""
+    def edit(m):
+        g = m.add_trigger(m.resolve_stage_ref("b.hands.process"), m.resolve_stage_ref("a.create"))
+        m.triggers[g].dst = m.resolve_stage_ref(dst) or dst
+    return edit
+
+
+def _copied_alias(m):
+    m.stages[m.resolve_stage_ref("b.receive")].alias = "hold"
+    m.stages[m.resolve_stage_ref("b.release")].alias = "hold"
+
+
+def _reparented(path, parent):
+    def edit(m):
+        m.thimacs[m.thimac_at[path]].parent = m.thimac_at.get(parent, parent)
+    return edit
+
+
+#: Hand edits of the raw dicts of a freshly parsed ``take.tm``, each with
+#: the one error code ``validate`` gives the edited model
+TAKE_EDITS = {
+    "self-trigger": (_retriggered("b.hands.process"), "V8"),
+    "trigger to s999": (_retriggered("s999"), "V7"),
+    "flow to s999": (lambda m: setattr(m.flows["f9"], "dst", "s999"), "V2"),
+    "alias copied within one machine": (_copied_alias, "V9"),
+    "b under missing t99": (_reparented("b", "t99"), "V10"),
+    "hands under missing t99": (_reparented("b.hands", "t99"), "V10"),
+    "hands made a root": (_reparented("b.hands", None), "V10"),
+    "c under a": (_reparented("c", "a"), "V10"),
+    "a renamed": (lambda m: setattr(m.thimacs[m.thimac_at["a"]], "name", "z"), "V10"),
+}
+
+
 def run_cli(*args: str, cwd: Path = ROOT) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "thimac", *args],

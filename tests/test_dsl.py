@@ -224,6 +224,16 @@ def test_serialize_rejects_what_parse_cannot_read_back(model, needle):
     assert needle in str(exc.value)
 
 
+@pytest.mark.parametrize("parent", ["t99", "cycle"])
+def test_exports_refuse_a_thimac_no_root_reaches(parent):
+    m = parse("thimac a { create; }\nthimac b { transfer; thimac c { receive; } }\n").model
+    b, c = m.thimac_at["b"], m.thimac_at["b.c"]
+    m.thimacs[b].parent = c if parent == "cycle" else parent
+    for export in (serialize, emit_dot):
+        with pytest.raises(ValueError, match=f"no root reaches thimac {b}, {c} through"):
+            export(m)
+
+
 def test_event_time_parses_and_validates():
     ok = parse(
         "thimac a { create; }\nevent e { region [a.create] time 2..5 }"

@@ -1,8 +1,10 @@
-"""Property-based checks: the parser, the codec, the serializer."""
+"""Property-based checks: the parser, the codec, the serializer, hand-edited models."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from thimac.dsl import parse, serialize
+from conftest import TAKE_EDITS, parse_corpus
+from thimac.dsl import emit_dot, parse, serialize
 from thimac.events import (
     AmbiguousReading,
     EventError,
@@ -12,8 +14,9 @@ from thimac.events import (
     define_event,
     encode_actions,
 )
-from thimac.model import ActionKind, new_model
-from thimac.simulate import ScenarioError, load_scenario
+from thimac.model import ActionKind, Trigger, new_model
+from thimac.simulate import ScenarioError, SimulationError, load_scenario, run
+from thimac.validate import validate
 
 KINDS = list(ActionKind)
 
@@ -172,6 +175,72 @@ def test_generated_models_round_trip_canonically(built):
     assert len(result.model.flows) == len(model.flows)
     assert len(result.model.triggers) == len(model.triggers)
     assert len(result.events) == len(events)
+
+
+# ---------------------------------------------------------------------------
+# hand-edited models: validate reports an error, or every layer copes
+
+
+def check_hand_edited(model, events=(), behaviors=None):
+    """Either ``validate`` reports an error, or the canonical text parses
+    back clean to the same bytes and ``emit_dot`` returns; and a run raises
+    nothing but SimulationError."""
+    if not any(d.severity == "error" for d in validate(model)):
+        text = serialize(model, events, behaviors)
+        result = parse(text)
+        assert result.ok and result.diagnostics == [], text
+        assert serialize(result.model, result.events, result.behaviors) == text
+        emit_dot(model)
+    scenario = "".join(
+        f"inject 0 {model.thimac_path(tid)} x{tid}\n"
+        for tid, thimac in model.thimacs.items() if ActionKind.CREATE in thimac.stages
+    ) + "max 30\n"
+    try:
+        run(model, load_scenario(model, scenario))
+    except SimulationError:
+        pass
+
+
+@st.composite
+def hand_edited_models(draw):
+    """A generated model after one edit of its raw dicts."""
+    m, events, behaviors = draw(generated_models())
+    stages, thimacs = sorted(m.stages), sorted(m.thimacs)
+    arrows = [*m.flows.values(), *m.triggers.values()]
+    edits = ["retarget", "reparent", "rename", "alias", "self-trigger"]
+    edit = draw(st.sampled_from(edits if arrows else edits[1:]))
+    if edit == "retarget":
+        arrow = draw(st.sampled_from(arrows))
+        end = draw(st.sampled_from(["src", "dst"]))
+        setattr(arrow, end, draw(st.sampled_from([*stages, "s999"])))
+    elif edit == "reparent":
+        parent = draw(st.sampled_from([*thimacs, None, "t99"]))
+        m.thimacs[draw(st.sampled_from(thimacs))].parent = parent
+    elif edit == "rename":
+        m.thimacs[draw(st.sampled_from(thimacs))].name = draw(
+            st.sampled_from(["alpha", "beta", "zeta"])
+        )
+    elif edit == "alias":
+        aliases = sorted({s.alias for s in m.stages.values() if s.alias} or {"worker"})
+        m.stages[draw(st.sampled_from(stages))].alias = draw(st.sampled_from(aliases))
+    else:
+        sid = draw(st.sampled_from(stages))
+        m.triggers["g99"] = Trigger("g99", sid, sid)
+        m.triggers_from.setdefault(sid, []).append(m.triggers["g99"])
+    return m, events, behaviors
+
+
+@given(hand_edited_models())
+@settings(max_examples=80, deadline=None)
+def test_hand_edited_models_are_reported_or_handled(edited):
+    check_hand_edited(*edited)
+
+
+@pytest.mark.parametrize("name", list(TAKE_EDITS))
+def test_hand_edits_of_take_are_reported_or_handled(name, take):
+    m = parse_corpus("take").model
+    TAKE_EDITS[name][0](m)
+    check_hand_edited(m, take.events, take.behaviors)
 
 
 # ---------------------------------------------------------------------------

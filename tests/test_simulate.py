@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 import reference_sim
-from conftest import chain_events, chain_texts, parse_corpus
+from conftest import TAKE_EDITS, chain_events, chain_texts, parse_corpus
 from thimac import simulate
 from thimac.dsl import _CHUNK, parse
 from thimac.events import EventDef, TimeSubthimac
@@ -416,6 +416,25 @@ def test_conforms_transitive_bridges_skipped_events(picnic):
     )
     loose = conforms(behavior, [inside, garden], transitive=True)
     assert loose.ok
+
+
+def test_conforms_builds_one_problem_per_distinct_pair(picnic):
+    behavior = picnic.behaviors["afternoon"]
+    inside = behavior.events["picnic_in_building"]
+    garden = behavior.events["picnic_in_garden"]
+    report = conforms(behavior, [inside, garden, inside, garden])
+    problem = "picnic_in_building -> picnic_in_garden is not an allowed succession"
+    assert report.problems == (problem, "picnic_in_garden -> picnic_in_building "
+                               "is not an allowed succession", problem)
+    assert report.problems[0] is report.problems[2]
+
+
+@pytest.mark.parametrize("name", ["trigger to s999", "flow to s999"])
+def test_an_arrow_into_no_stage_is_a_simulation_error(name, corpus_dir):
+    m = parse_corpus("take").model
+    TAKE_EDITS[name][0](m)
+    with pytest.raises(simulate.SimulationError, match="ends at unknown stage 's999'"):
+        run(m, load_scenario(m, scn(corpus_dir, "take.scn")))
 
 
 def test_repeated_event_needs_an_explicit_cycle(picnic):

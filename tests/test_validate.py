@@ -1,14 +1,17 @@
-"""Diagram audits V1-V6 and the verb lexicon."""
+"""Diagram audits V1-V10 and the verb lexicon."""
 
 import importlib
 import random
 import re
+from pathlib import Path
 
 import pytest
 
+from conftest import TAKE_EDITS, parse_corpus
 from thimac import check_behavior, parse, validate
-from thimac.model import ActionKind, StaticModel, new_model
+from thimac.model import ActionKind, ModelError, StaticModel, new_model
 from thimac.validate import (
+    _SEVERITY,
     UNVERIFIED_VERBS,
     UnknownVerb,
     VerbLexicon,
@@ -124,6 +127,42 @@ def test_flows_inside_a_v4_cycle_get_no_succession_check():
     assert [(d.code, d.subject) for d in diags] == [("V4", "a"), ("V4", "b")]
 
 
+@pytest.mark.parametrize("name", list(TAKE_EDITS))
+def test_each_hand_edit_of_take_gives_one_error(name):
+    edit, code = TAKE_EDITS[name]
+    m = parse_corpus("take").model
+    edit(m)
+    assert [d.code for d in validate(m) if d.severity == "error"] == [code]
+
+
+def test_arrow_findings_carry_the_builders_exception_text():
+    from thimac.model import Flow, Trigger
+
+    m = hop_model()
+    ref = m.resolve_stage_ref
+    arrows = {
+        "f97": (ref("a.create"), "s999"),
+        "f98": (ref("a.create"), ref("a.transfer")),
+        "f99": (ref("a.release"), ref("b.receive")),
+        "g98": ("s999", ref("a.create")),
+        "g99": (ref("b.process"), ref("b.process")),
+    }
+    raised = {}
+    for aid, (src, dst) in arrows.items():
+        add = m.add_flow if aid[0] == "f" else m.add_trigger
+        with pytest.raises(ModelError) as exc:
+            add(src, dst)
+        raised[aid] = (type(exc.value), str(exc.value))
+        arrow = (Flow if aid[0] == "f" else Trigger)(aid, src, dst)
+        (m.flows if aid[0] == "f" else m.triggers)[aid] = arrow
+    found = {d.subject: d.message for d in validate(m) if d.subject in arrows}
+    assert found == {aid: message for aid, (_, message) in raised.items()}
+    assert [cls.__name__ for cls, _ in raised.values()] == [
+        "UnknownStage", "IllegalSuccession", "UnpairedBoundaryCrossing",
+        "UnknownStage", "SelfTrigger",
+    ]
+
+
 def test_v5_untouched_stage_is_a_warning():
     m = hop_model()
     b = m.thimac_at.get("b")
@@ -156,13 +195,30 @@ def test_v6_inward_facing_transfer_is_a_warning():
     assert diags[0].subject == "a.transfer"
 
 
+def severity_tables():
+    """The code -> severity tables of validate's docstring and the README."""
+    doc = importlib.import_module("thimac.validate").__doc__
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    return (
+        dict(re.findall(r"^([VB]\d+)\s+(error|warning)\s", doc, re.M)),
+        dict(re.findall(r"^\| ([VB]\d+) +\| (error|warning) +\|", readme, re.M)),
+    )
+
+
+def test_the_docstring_and_readme_tables_agree_with_severity():
+    doc, readme = severity_tables()
+    assert doc == readme == _SEVERITY
+    assert list(doc) == list(readme)
+
+
 def test_every_finding_has_the_severity_the_docstring_tables():
     from thimac.events import BehaviorModel, define_event
-    from thimac.model import Flow
+    from thimac.model import Flow, Trigger
 
-    doc = importlib.import_module("thimac.validate").__doc__
-    table = dict(re.findall(r"^([VB]\d)\s+(error|warning)\s", doc, re.M))
-    assert list(table) == ["V1", "V2", "V3", "V4", "V5", "V6", "B1", "B2", "B3"]
+    table, _ = severity_tables()
+    assert list(table) == [
+        "V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8", "V9", "V10", "B1", "B2", "B3",
+    ]
 
     m = hop_model()
     ref = m.resolve_stage_ref
@@ -176,6 +232,10 @@ def test_every_finding_has_the_severity_the_docstring_tables():
     e = m.add_thimac("e")
     release = m.add_stage(e, ActionKind.RELEASE)
     m.add_flow(release, m.add_stage(e, ActionKind.TRANSFER))  # V6
+    m.triggers["g98"] = Trigger("g98", ref("b.process"), "s999")  # V7
+    m.triggers["g99"] = Trigger("g99", ref("b.process"), ref("b.process"))  # V8
+    m.stages[ref("b.receive")].alias = m.stages[ref("b.process")].alias = "x"  # V9
+    m.thimacs[e].parent = "t99"  # V10
     found = validate(m)
 
     e1 = define_event(m, "e1", [ref("b.transfer"), ref("b.receive")])
