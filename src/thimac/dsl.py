@@ -299,14 +299,14 @@ class _Parser:
         return tok
 
     def declare(self, add, tok: _Token, *args) -> str | None:
-        """Call a model ``add_*``: the new entity's origin is ``tok``, and a
-        ModelError is a diagnostic there; returns the id, or None."""
+        """Call a model ``add_*``: the new entity's origin is ``tok``'s line,
+        and a ModelError is a diagnostic at ``tok``; returns the id, or None."""
         try:
             eid = add(*args)
         except ModelError as exc:
             self.error(str(exc), tok)
             return None
-        self.model.origin[eid] = (tok.line, tok.column)
+        self.model.origin[eid] = tok.line
         return eid
 
     def interval(self, lo: _Token, hi: _Token) -> TimeSubthimac | None:

@@ -19,12 +19,15 @@ a renderer that walks it builds the child lists from those links.
 Besides the raw dicts a model keeps the lookup tables every layer reads:
 the flows and triggers leaving each stage, anchor -> flow, and dotted
 path -> thimac with its inverse, from which paths and ancestry are read.
+``origin`` maps each entity the parser declared to its source line, the
+position a finding names.
 Only the ``add_*`` methods write the raw dicts and the tables alike, so
 a model built through them never holds a stale table.  Code that edits
 the raw dicts directly gets a model whose tables no longer match;
 :func:`thimac.validate.validate` audits its raw dicts by the rules the
 ``add_*`` methods apply (arrows through the same ``flow_error`` and
-``trigger_error``) and each thimac's name and parent against its path.
+``trigger_error``), each thimac's name and parent against its path, each
+stage's owner, and the arrow tables against the arrows.
 """
 
 from __future__ import annotations
@@ -233,8 +236,8 @@ class StaticModel(_Record):
         self.stages: dict[str, Stage] = {}
         self.flows: dict[str, Flow] = {}
         self.triggers: dict[str, Trigger] = {}
-        # source positions (entity id -> (line, col)), filled by the parser
-        self.origin: dict[str, tuple[int, int]] = {}
+        # source lines (entity id -> line), filled by the parser
+        self.origin: dict[str, int] = {}
         #: stage id -> flows leaving it / triggers sourced at it, declared order
         self.flows_from: dict[str, list[Flow]] = {}
         self.triggers_from: dict[str, list[Trigger]] = {}

@@ -217,7 +217,8 @@ def _fired(model: StaticModel, sid: str) -> tuple[tuple, tuple]:
     """What entering stage ``sid`` fires, (births, wakes): the one trigger
     rule.  Only a process stage fires; a trigger into a create stage births
     there, as (create stage, owner name), and any other wakes its target.
-    A target that is no stage, in a hand-edited model, raises SimulationError.
+    A target that is no stage, or a create stage of no thimac, in a
+    hand-edited model, raises SimulationError.
     """
     born, woken = [], []
     for trig in model.triggers_from.get(sid, ()) if model.stages[sid].kind is _P else ():
@@ -225,6 +226,9 @@ def _fired(model: StaticModel, sid: str) -> tuple[tuple, tuple]:
         if target is None:
             raise SimulationError(f"trigger {trig.id} ends at unknown stage {trig.dst!r}")
         if target.kind is _C:
+            if target.owner not in model.thimacs:
+                raise SimulationError(f"trigger {trig.id} births at {trig.dst!r}, "
+                                      f"whose thimac {target.owner!r} is missing")
             born.append((trig.dst, model.thimacs[target.owner].name))
         else:
             woken.append(trig.dst)

@@ -4,9 +4,11 @@ The validator audits a model's raw dicts as they stand, holding a
 hand-edited model to the rules the constructive API enforces: each flow
 and trigger goes through the rule ``add_flow`` or ``add_trigger`` raises
 on, with that exception's text (V2, V3, V7, V8), and the rules no one
-arrow decides are checked set-wide (V1, V4, V9, V10).  It adds rules no
-``add_*`` call can see (V5, V6).  Each finding carries its entity's
-source line from ``model.origin``.  Diagnostic codes are stable:
+arrow decides are checked set-wide (V1, V4, V9, V10, V11).  It adds rules
+no ``add_*`` call can see (V5, V6), and it checks that the per-stage
+tables a run reads list each arrow where the raw dicts have it (V12).
+Each finding carries its entity's source line from ``model.origin``.
+Diagnostic codes are stable:
 
 =====  ========  ====================================================
 code   severity  meaning
@@ -21,6 +23,8 @@ V7     error     trigger end that is not a stage
 V8     error     stage that triggers itself
 V9     error     two stages of one machine that share an alias
 V10    error     parent missing, or name and parent off the recorded path
+V11    error     stage off its owner's list, or listed by another thimac
+V12    error     arrow not listed under its own source alone, or not held
 B1     warning   precedence edge with no arrow between the two regions
 B2     warning   event unreachable from any source event
 B3     warning   precedence graph contains a cycle
@@ -40,7 +44,8 @@ Severity = Literal["error", "warning"]
 
 #: Each code's severity, as tabled above: the one place it is decided.
 _SEVERITY: dict[str, Severity] = {
-    **dict.fromkeys(("V1", "V2", "V3", "V4", "V7", "V8", "V9", "V10"), "error"),
+    **dict.fromkeys(("V1", "V2", "V3", "V4", "V7", "V8", "V9", "V10", "V11", "V12"),
+                    "error"),
     **dict.fromkeys(("V5", "V6", "B1", "B2", "B3"), "warning"),
 }
 
@@ -76,11 +81,36 @@ def validate(model: StaticModel) -> list[Diagnostic]:
     out: list[Diagnostic] = []
 
     def report(code: str, subject: str, message: str, entity: str) -> None:
-        out.append(_finding(code, subject, message, model.origin.get(entity, (0,))[0]))
+        out.append(_finding(code, subject, message, model.origin.get(entity, 0)))
+
+    # V11: each stage's owner exists and lists it, and a thimac lists only
+    # stages of its own.  The arrow rules, V5 and V6 read a stage's path,
+    # which a stage off its owner's list lacks.
+    unplaced: set[str] = set()
+    for sid, stage in model.stages.items():
+        owner = model.thimacs.get(stage.owner)
+        if owner is None or owner.stages.get(stage.kind) != sid:
+            unplaced.add(sid)
+            message = (f"owner thimac {stage.owner!r} is missing" if owner is None else
+                       f"{model.thimac_path(stage.owner)} does not list it as its "
+                       f"{stage.kind.value} stage")
+            report("V11", sid, message, sid)
+    for tid, thimac in model.thimacs.items():
+        for kind, sid in thimac.stages.items():
+            stage = model.stages.get(sid)
+            if stage is None:
+                message = f"lists {sid!r} as its {kind.value} stage, which the model does not hold"
+            elif sid not in unplaced and (stage.owner != tid or stage.kind is not kind):
+                message = f"lists {model.stage_ref(sid)} as its {kind.value} stage"
+            else:
+                continue  # its own stage, or one V11 reported above
+            report("V11", model.thimac_path(tid), message, tid)
 
     # V1 and V9: the constructive API cannot produce these, but raw models can.
     per_machine: dict[tuple, int] = {}  # (owner, kind or alias) -> stages with it
     for stage in model.stages.values():
+        if stage.owner not in model.thimacs:
+            continue  # V11: no machine to count it in
         for key in (stage.kind,) if stage.alias is None else (stage.kind, stage.alias):
             per_machine[stage.owner, key] = per_machine.get((stage.owner, key), 0) + 1
     for (owner, key), count in per_machine.items():
@@ -122,12 +152,36 @@ def validate(model: StaticModel) -> list[Diagnostic]:
         else:
             report("V10", recorded, f"parent thimac {parent!r} is missing", tid)
 
+    # V12: run reads the arrows leaving a stage from flows_from and
+    # triggers_from, so these list each arrow the grammar allows under its
+    # own source and nowhere else, and no arrow the raw dicts lack
+    misfiled: dict[str, list[str]] = {}  # arrow id -> the other stages listing it
+    for table, raw, name in ((model.flows_from, model.flows, "flows_from"),
+                             (model.triggers_from, model.triggers, "triggers_from")):
+        for sid, arrows in table.items():
+            for arrow in arrows:
+                if raw.get(arrow.id) is not arrow:
+                    report("V12", arrow.id, f"{name} lists it under {sid!r}, "
+                           "but the model holds no such arrow", arrow.id)
+                elif arrow.src != sid:
+                    misfiled.setdefault(arrow.id, []).append(sid)
+
+    def listed(arrow, table: dict[str, list], name: str) -> None:
+        home = any(a is arrow for a in table.get(arrow.src, ()))
+        where = [arrow.src] * home + misfiled.get(arrow.id, [])
+        if where != [arrow.src]:
+            under = ", ".join(map(repr, where)) or "no stage"
+            report("V12", arrow.id, f"{name} lists it under {under}; its source is {arrow.src!r}",
+                   arrow.id)
+
     # For V5 and V6: the stages any arrow touches, and the ends of flows
     # between two machines (a dangling end is V2's finding, not a machine).
     touched = {end for g in model.triggers.values() for end in (g.src, g.dst)}
     faces_outside: set[str] = set()
     for flow in model.flows.values():
         touched.update((flow.src, flow.dst))
+        if flow.src in unplaced or flow.dst in unplaced:
+            continue
         src = model.stages.get(flow.src)
         dst = model.stages.get(flow.dst)
         if src is not None and dst is not None:
@@ -138,12 +192,20 @@ def validate(model: StaticModel) -> list[Diagnostic]:
         if error := model.flow_error(flow.src, flow.dst):
             code = "V3" if isinstance(error, UnpairedBoundaryCrossing) else "V2"
             report(code, flow.id, str(error), flow.id)
+        else:
+            listed(flow, model.flows_from, "flows_from")
     for trigger in model.triggers.values():
+        if trigger.src in unplaced or trigger.dst in unplaced:
+            continue
         if error := model.trigger_error(trigger.src, trigger.dst):
             code = "V7" if isinstance(error, UnknownStage) else "V8"
             report(code, trigger.id, str(error), trigger.id)
+        else:
+            listed(trigger, model.triggers_from, "triggers_from")
 
     for sid, stage in model.stages.items():
+        if sid in unplaced:
+            continue
         if sid not in touched:
             message = "stage has no incident flow or trigger (dead potentiality)"
             report("V5", model.stage_ref(sid), message, sid)

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from thimac import SourceDocument, parse
+from thimac.model import ActionKind
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
@@ -99,6 +100,26 @@ def _reparented(path, parent):
     return edit
 
 
+def _reowned(ref, owner):
+    def edit(m):
+        m.stages[m.resolve_stage_ref(ref)].owner = m.thimac_at.get(owner, owner)
+    return edit
+
+
+def _listed(path, kind, ref):
+    """Thimac ``path`` lists the stage ``ref`` names, or ``ref`` itself, as
+    its ``kind`` stage."""
+    def edit(m):
+        m.thimacs[m.thimac_at[path]].stages[kind] = m.resolve_stage_ref(ref) or ref
+    return edit
+
+
+def _moved_src(fid, src):
+    def edit(m):
+        m.flows[fid].src = m.resolve_stage_ref(src)
+    return edit
+
+
 #: Hand edits of the raw dicts of a freshly parsed ``take.tm``, each with
 #: the one error code ``validate`` gives the edited model
 TAKE_EDITS = {
@@ -111,6 +132,12 @@ TAKE_EDITS = {
     "hands made a root": (_reparented("b.hands", None), "V10"),
     "c under a": (_reparented("c", "a"), "V10"),
     "a renamed": (lambda m: setattr(m.thimacs[m.thimac_at["a"]], "name", "z"), "V10"),
+    "c.receive owned by missing t99": (_reowned("c.receive", "t99"), "V11"),
+    "c.receive owned by a": (_reowned("c.receive", "a"), "V11"),
+    "a lists a missing stage": (_listed("a", ActionKind.PROCESS, "s99"), "V11"),
+    "a lists c.receive": (_listed("a", ActionKind.RECEIVE, "c.receive"), "V11"),
+    # legal as a pair, but flows_from still lists f6 under b.hands.process
+    "f6 moved to leave b.receive": (_moved_src("f6", "b.receive"), "V12"),
 }
 
 

@@ -497,6 +497,24 @@ def test_simulate_pins_the_signal_scenario(cli):
     assert r.stdout == "0 s signal.create create\n1 s signal.process process\n"
 
 
+def test_simulate_pins_the_query_related_scenario(cli):
+    """The paper's third library transaction runs by the engine's rules, but
+    ``related_books-1`` and ``related_authors-1`` walk their machines over
+    the same ticks, and the merged projection reads their events in turn:
+    13 events, 9 of them after a predecessor no edge allows, exit 3."""
+    r = cli("simulate", "corpus/library.tm", "corpus/scenarios/query_related.scn")
+    assert r.returncode == 3
+    assert r.stdout.splitlines() == [
+        "query_books", "match_query", "process_match",
+        *["related_books_out", "related_authors_out"] * 5,
+    ]
+    turns = ["related_books_out -> related_authors_out",
+             "related_authors_out -> related_books_out"]
+    assert r.stderr.splitlines() == [
+        f"thimac: {turns[k % 2]} is not an allowed succession" for k in range(9)
+    ]
+
+
 def test_simulate_bad_scenario_exits_two(cli, tmp_path):
     s = tmp_path / "bad.scn"
     s.write_text("warp 1\n")

@@ -15,7 +15,7 @@ from thimac.events import (
     encode_actions,
 )
 from thimac.model import ActionKind, Trigger, new_model
-from thimac.simulate import ScenarioError, SimulationError, load_scenario, run
+from thimac.simulate import ScenarioError, SimulationError, load_scenario, render_trace, run
 from thimac.validate import validate
 
 KINDS = list(ActionKind)
@@ -181,24 +181,38 @@ def test_generated_models_round_trip_canonically(built):
 # hand-edited models: validate reports an error, or every layer copes
 
 
+def outcome(model, scenario):
+    """A run's sorted trace lines and ``truncated``, or the SimulationError
+    it raises; lines are sorted because the entries of one tick keep the
+    stages' declaration order, which a re-parse may change."""
+    try:
+        trace = run(model, load_scenario(model, scenario))
+    except SimulationError as exc:
+        return type(exc), str(exc)
+    return sorted(render_trace(model, trace).splitlines()), trace.truncated
+
+
 def check_hand_edited(model, events=(), behaviors=None):
     """Either ``validate`` reports an error, or the canonical text parses
-    back clean to the same bytes and ``emit_dot`` returns; and a run raises
-    nothing but SimulationError."""
-    if not any(d.severity == "error" for d in validate(model)):
-        text = serialize(model, events, behaviors)
-        result = parse(text)
-        assert result.ok and result.diagnostics == [], text
-        assert serialize(result.model, result.events, result.behaviors) == text
-        emit_dot(model)
+    back clean to the same bytes, ``emit_dot`` returns, and the edited
+    model runs as its re-parsed text does; and a run raises nothing but
+    SimulationError."""
     scenario = "".join(
         f"inject 0 {model.thimac_path(tid)} x{tid}\n"
         for tid, thimac in model.thimacs.items() if ActionKind.CREATE in thimac.stages
     ) + "max 30\n"
-    try:
-        run(model, load_scenario(model, scenario))
-    except SimulationError:
-        pass
+    if any(d.severity == "error" for d in validate(model)):
+        try:
+            run(model, load_scenario(model, scenario))
+        except SimulationError:
+            pass
+        return
+    text = serialize(model, events, behaviors)
+    result = parse(text)
+    assert result.ok and result.diagnostics == [], text
+    assert serialize(result.model, result.events, result.behaviors) == text
+    emit_dot(model)
+    assert outcome(result.model, scenario) == outcome(model, scenario), text
 
 
 @st.composite
@@ -207,7 +221,7 @@ def hand_edited_models(draw):
     m, events, behaviors = draw(generated_models())
     stages, thimacs = sorted(m.stages), sorted(m.thimacs)
     arrows = [*m.flows.values(), *m.triggers.values()]
-    edits = ["retarget", "reparent", "rename", "alias", "self-trigger"]
+    edits = ["retarget", "reparent", "rename", "alias", "re-own", "self-trigger"]
     edit = draw(st.sampled_from(edits if arrows else edits[1:]))
     if edit == "retarget":
         arrow = draw(st.sampled_from(arrows))
@@ -223,6 +237,8 @@ def hand_edited_models(draw):
     elif edit == "alias":
         aliases = sorted({s.alias for s in m.stages.values() if s.alias} or {"worker"})
         m.stages[draw(st.sampled_from(stages))].alias = draw(st.sampled_from(aliases))
+    elif edit == "re-own":
+        m.stages[draw(st.sampled_from(stages))].owner = draw(st.sampled_from([*thimacs, "t99"]))
     else:
         sid = draw(st.sampled_from(stages))
         m.triggers["g99"] = Trigger("g99", sid, sid)

@@ -218,8 +218,8 @@ def test_every_form_is_read_and_every_blank_matters():
 
 
 def test_flows_and_triggers_record_their_keywords_position():
-    """``model.origin`` holds each flow's and trigger's keyword position,
-    whichever reader takes the document."""
+    """``model.origin`` holds the line of each flow's and trigger's
+    keyword, whichever reader takes the document."""
     text = (
         "thimac a { create; process; release; }\n"
         "  flow a.create -> a.process;\n"
@@ -228,8 +228,8 @@ def test_flows_and_triggers_record_their_keywords_position():
     assert dsl._read_statements(text) is not None
     for result in (parse(text), token_parse(text)):
         (flow,), (trigger,) = result.model.flows, result.model.triggers
-        assert result.model.origin[flow] == (2, 3)
-        assert result.model.origin[trigger] == (3, 4)
+        assert result.model.origin[flow] == 2
+        assert result.model.origin[trigger] == 3
 
 
 def _load_workloads():

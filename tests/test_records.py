@@ -87,7 +87,7 @@ def test_models_compare_by_declarations_and_origin():
 
     one, same = build(), build()
     assert one == same and one is not same
-    same.origin["t1"] = (1, 1)
+    same.origin["t1"] = 1
     assert one != same
     with pytest.raises(TypeError):
         hash(one)

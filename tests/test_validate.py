@@ -1,4 +1,4 @@
-"""Diagram audits V1-V10 and the verb lexicon."""
+"""Diagram audits V1-V12 and the verb lexicon."""
 
 import importlib
 import random
@@ -135,6 +135,55 @@ def test_each_hand_edit_of_take_gives_one_error(name):
     assert [d.code for d in validate(m) if d.severity == "error"] == [code]
 
 
+def test_v11_a_stage_off_its_owners_list_is_reported_and_skipped():
+    m = parse_corpus("take").model
+    receive = m.resolve_stage_ref("c.receive")
+    m.stages[receive].owner = "t99"
+    assert [(d.code, d.subject, d.message, d.line) for d in validate(m)] == [
+        ("V11", receive, "owner thimac 't99' is missing", 15),
+    ]
+    m.stages[receive].owner = m.thimac_at["a"]
+    assert [(d.code, d.subject, d.message) for d in validate(m)] == [
+        ("V11", receive, "a does not list it as its receive stage"),
+    ]
+    m.stages[receive].owner = m.thimac_at["c"]
+    m.thimacs[m.thimac_at["a"]].stages[ActionKind.PROCESS] = "s99"
+    assert [(d.code, d.subject, d.message, d.line) for d in validate(m)] == [
+        ("V11", "a", "lists 's99' as its process stage, which the model does not hold", 6),
+    ]
+    m.thimacs[m.thimac_at["a"]].stages[ActionKind.PROCESS] = receive
+    assert [(d.code, d.subject, d.message) for d in validate(m)] == [
+        ("V11", "a", "lists c.receive as its process stage"),
+    ]
+
+
+def test_v12_an_arrow_the_stage_tables_misfile_is_reported():
+    from thimac.model import Trigger
+
+    m = parse_corpus("take").model
+    ref = m.resolve_stage_ref
+    m.flows["f6"].src = ref("b.receive")
+    g = Trigger("g9", ref("b.hands.process"), ref("a.create"))
+    m.triggers["g9"] = g  # in no table
+    m.triggers_from[ref("b.receive")] = [g]
+    found = [(d.code, d.subject, d.message, d.line) for d in validate(m)]
+    assert found == [
+        ("V12", "f6", f"flows_from lists it under {ref('b.hands.process')!r}; "
+                      f"its source is {ref('b.receive')!r}", 22),
+        ("V12", "g9", f"triggers_from lists it under {ref('b.receive')!r}; "
+                      f"its source is {ref('b.hands.process')!r}", 0),
+    ]
+    m.triggers_from[ref("b.receive")] = []
+    assert validate(m)[1].message == (
+        f"triggers_from lists it under no stage; its source is {ref('b.hands.process')!r}"
+    )
+    del m.flows["f9"]  # c.transfer -> c.receive, still in flows_from
+    assert [(d.code, d.message) for d in validate(m) if d.subject == "f9"] == [
+        ("V12", f"flows_from lists it under {ref('c.transfer')!r}, "
+                "but the model holds no such arrow"),
+    ]
+
+
 def test_arrow_findings_carry_the_builders_exception_text():
     from thimac.model import Flow, Trigger
 
@@ -217,12 +266,13 @@ def test_every_finding_has_the_severity_the_docstring_tables():
 
     table, _ = severity_tables()
     assert list(table) == [
-        "V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8", "V9", "V10", "B1", "B2", "B3",
+        "V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8", "V9", "V10", "V11", "V12",
+        "B1", "B2", "B3",
     ]
 
     m = hop_model()
     ref = m.resolve_stage_ref
-    m.stages["s99"] = m.stages[ref("a.create")].__class__(  # V1, and V5 on it
+    m.stages["s99"] = m.stages[ref("a.create")].__class__(  # V1, and V11 on it
         id="s99", kind=ActionKind.CREATE, owner=m.thimac_at.get("a")
     )
     m.flows["f98"] = Flow(id="f98", src=ref("a.create"), dst=ref("a.transfer"))  # V2
@@ -236,6 +286,8 @@ def test_every_finding_has_the_severity_the_docstring_tables():
     m.triggers["g99"] = Trigger("g99", ref("b.process"), ref("b.process"))  # V8
     m.stages[ref("b.receive")].alias = m.stages[ref("b.process")].alias = "x"  # V9
     m.thimacs[e].parent = "t99"  # V10
+    m.add_stage(m.thimac_at["b"], ActionKind.CREATE)  # V5
+    m.flows["f97"] = Flow(id="f97", src=ref("a.create"), dst=ref("a.release"))  # V12
     found = validate(m)
 
     e1 = define_event(m, "e1", [ref("b.transfer"), ref("b.receive")])
