@@ -28,15 +28,15 @@ that are not decimal, such as ``²``, are unexpected characters.
 Two readers share the work.  The statement reader matches one regular
 expression per whole statement; it takes well-formed documents (blanks
 anywhere a token boundary allows them, comments only between statements,
-labels without escapes) and declines anything else.  It declares names,
-stages, thimacs and time intervals through the token parser's own
-methods, which check reserved words, record source positions and turn
-model errors into diagnostics, and it hands over on the first diagnostic
-they make.  The token parser then reads the document from the start, a
-token at a time as the lexer yields them, so every parse diagnostic
-comes from it alone.  Both fill the same pending flows, events and
-behaviors, which one late resolution step turns into the result, so a
-document reads the same whichever reader takes it.
+labels without escapes, thimacs declared before they are named) and
+declines anything else.  It declares each entity as it reads it through
+the token parser's own methods, which check reserved words, record source
+lines, turn model errors into diagnostics and enter each stage in one
+table from reference text to stage id, so a reference is one lookup; it
+hands over on the first diagnostic.  The token parser then reads the
+document from the start, a token at a time, so every parse diagnostic
+comes from it alone; it keeps its flows, triggers and regions pending
+until one late step resolves them in the same table.
 
 Parsing never raises for bad input: every problem becomes a
 ParseDiagnostic with a 1-based line and column, and a document with any
@@ -191,7 +191,7 @@ def _tokens(text: str, diags: list[ParseDiagnostic]) -> Iterator[_Token]:
 
 
 class _PendingArrow(NamedTuple):
-    """A flow or a trigger, resolved once every thimac is declared."""
+    """A flow or a trigger the token parser read, resolved once every thimac is declared."""
 
     keyword: _Token  # "flow" or "trigger"; also where diagnostics point
     src: str
@@ -208,9 +208,10 @@ class _Parser:
     def __init__(self):
         self.diags: list[ParseDiagnostic] = []
         self.model = new_model()
-        self.arrows: list[_PendingArrow] = []
-        # (name, stage refs, time) and (name, [(predecessor, successor)])
-        self.events: list[tuple[_Token, list[str], TimeSubthimac | None]] = []
+        self.stage_at: dict[str, str] = {}  # "path.kind" and "path.alias" -> stage id
+        self.arrows: list[_PendingArrow] = []  # the token parser's
+        # (name, stage refs, their ids, time), refs or ids None, and (name, [(pred, succ)])
+        self.events: list[tuple[_Token, list | None, list | None, TimeSubthimac | None]] = []
         self.behaviors: list[tuple[_Token, list[tuple[_Token, _Token]]]] = []
         # see ParseResult.event_lines and .edge_lines
         self.event_lines: dict[str, int] = {}
@@ -224,13 +225,14 @@ class _Parser:
             self.tok = next(self.toks)
         return tok
 
-    def error(self, message: str, tok: _Token | None = None) -> None:
-        tok = tok or self.tok
-        self.diags.append(ParseDiagnostic("error", message, tok.line, tok.column))
+    def error(self, message: str, at: _Token | int | None = None) -> None:
+        at = at or self.tok  # a bare line is the statement reader's, which declines
+        line, column = (at, 0) if at.__class__ is int else (at.line, at.column)
+        self.diags.append(ParseDiagnostic("error", message, line, column))
 
-    def fail(self, message: str, tok: _Token | None = None) -> NoReturn:
+    def fail(self, message: str, at: _Token | int | None = None) -> NoReturn:
         """Report ``message`` and abandon the statement being read."""
-        self.error(message, tok)
+        self.error(message, at)
         raise _Skip
 
     def expect(self, kind: str, what: str) -> _Token:
@@ -291,23 +293,32 @@ class _Parser:
 
     # -- declarations, shared with the statement reader and resolve -------
 
-    def named(self, tok: _Token, what: str) -> _Token:
-        """``tok`` if it may name a ``what``; a reserved word fails."""
-        if tok.value in RESERVED_WORDS:
+    def named(self, at: _Token | int, what: str, name: str | None = None):
+        """``name`` (or else the token ``at``) if it may name a ``what``, or fail at ``at``."""
+        word = at.value if name is None else name
+        if word in RESERVED_WORDS:
             article = "an" if what[0] in "aeiou" else "a"
-            self.fail(f"{tok.value!r} is a reserved word and cannot name {article} {what}", tok)
-        return tok
+            self.fail(f"{word!r} is a reserved word and cannot name {article} {what}", at)
+        return at if name is None else name
 
-    def declare(self, add, tok: _Token, *args) -> str | None:
-        """Call a model ``add_*``: the new entity's origin is ``tok``'s line,
-        and a ModelError is a diagnostic at ``tok``; returns the id, or None."""
+    def declare(self, add, at: _Token | int, *args) -> str | None:
+        """Call a model ``add_*``: the origin is the line of ``at``, a token or a
+        bare line, and a ModelError a diagnostic at ``at``; returns the id, or None."""
         try:
             eid = add(*args)
         except ModelError as exc:
-            self.error(str(exc), tok)
+            self.error(str(exc), at)
             return None
-        self.model.origin[eid] = tok.line
+        self.model.origin[eid] = at if at.__class__ is int else at.line
         return eid
+
+    def declare_stage(self, at: _Token | int, owner: str, kind: str, alias: str | None) -> None:
+        """Declare a stage, entered in ``stage_at`` by its kind and its alias."""
+        if sid := self.declare(self.model.add_stage, at, owner, _KINDS[kind], alias):
+            path = self.model.thimac_path(owner)
+            self.stage_at[f"{path}.{kind}"] = sid
+            if alias:
+                self.stage_at[f"{path}.{alias}"] = sid
 
     def interval(self, lo: _Token, hi: _Token) -> TimeSubthimac | None:
         """``time lo..hi``, or None with the bad interval reported at ``lo``."""
@@ -377,7 +388,7 @@ class _Parser:
             self.end()
         finally:
             if owner is not None:
-                self.declare(self.model.add_stage, kw, owner, _KINDS[kw.value], alias)
+                self.declare_stage(kw, owner, kw.value, alias)
 
     def parse_stage_ref(self) -> str:
         """Collect a dotted reference; returns its text, resolution later."""
@@ -433,7 +444,7 @@ class _Parser:
             self.expect("..", "'..'")
             time = self.interval(lo, self.expect("int", "an end tick"))
         self.expect("}", "'}'")
-        self.events.append((name, refs, time))
+        self.events.append((name, refs, None, time))
 
     def parse_behavior(self) -> None:
         kw = self.advance()
@@ -462,7 +473,9 @@ class _Parser:
     # -- late resolution ---------------------------------------------------
 
     def resolve(self) -> tuple[list[EventDef], dict[str, BehaviorModel]]:
-        model = self.model
+        """Declare the token parser's arrows and resolve its regions in ``stage_at``,
+        then define every event and behavior: all the statement reader leaves."""
+        model, stage_at = self.model, self.stage_at
         # Every flow before every trigger, each kind in declaration order:
         # popped from the end, each pending arrow is freed once declared.
         arrows, self.arrows = self.arrows, []
@@ -470,8 +483,7 @@ class _Parser:
         arrows.sort(key=lambda arrow: arrow.keyword.value == "flow")
         while arrows:
             kw, src_ref, dst_ref, carries, anchor = arrows.pop()
-            src = model.resolve_stage_ref(src_ref)
-            dst = model.resolve_stage_ref(dst_ref)
+            src, dst = stage_at.get(src_ref), stage_at.get(dst_ref)
             if src is None or dst is None:
                 missing = src_ref if src is None else dst_ref
                 self.error(f"unknown stage reference {missing!r}", kw)
@@ -481,16 +493,17 @@ class _Parser:
                 self.declare(model.add_trigger, kw, src, dst)
 
         defined: dict[str, EventDef] = {}
-        for name, refs, time in self.events:
+        for name, refs, sids, time in self.events:
             if name.value in defined:
                 self.error(f"event {name.value!r} is already declared", name)
                 continue
-            sids = [model.resolve_stage_ref(ref) for ref in refs]
-            for ref, sid in zip(refs, sids):
-                if sid is None:
-                    self.error(f"unknown stage reference {ref!r}", name)
-            if None in sids:
-                continue
+            if sids is None:  # the token parser's
+                sids = [stage_at.get(ref) for ref in refs]
+                for ref, sid in zip(refs, sids):
+                    if sid is None:
+                        self.error(f"unknown stage reference {ref!r}", name)
+                if None in sids:
+                    continue
             try:
                 ev = events_mod.define_event(model, name.value, sids, time)
             except (events_mod.EventError, ModelError) as exc:
@@ -559,33 +572,34 @@ _END_RE = re.compile(rf"{_GAP}\Z")
 def _read_statements(text: str) -> _Parser | None:
     """Read a well-formed document a statement at a time, or return None.
 
-    Fills a ``_Parser`` as ``parse_document`` would, tokens at the same
-    lines and columns, and declares through the same ``_Parser`` methods,
-    so ``resolve`` finishes either.  Anything this reader does not
-    recognise, and the first statement that needs a diagnostic, returns
-    None, and the token parser reads the document and reports on it.
+    Declares each thimac, stage, flow and trigger as it reads it, through
+    the token parser's methods, and looks each stage reference up once in
+    ``stage_at``; events and behaviors it leaves to ``resolve``.  Anything
+    it does not recognise, and the first statement that needs a diagnostic
+    (a thimac named before it is declared, too), returns None.
     """
     parser = _Parser()
-    model = parser.model
+    model, stage_at = parser.model, parser.stage_at
     new = tuple.__new__
     blocks: list[str] = []  # the open thimac blocks' ids, innermost last
     behavior: tuple[_Token, list[tuple[_Token, _Token]]] | None = None  # an open one
     line, seen = 1, 0  # the line that text[seen] is on
 
-    def token(group: str, value: str | None = None) -> _Token:
+    def token(group: str) -> _Token:
         """An ident token at ``group``'s start; never called backwards."""
         nonlocal line, seen
         p = m.start(group)
         line += text.count("\n", seen, p)
         seen = p
-        column = p - text.rfind("\n", 0, p)
-        return new(_Token, ("ident", value or m[group], line, column))
+        return new(_Token, ("ident", m[group], line, p - text.rfind("\n", 0, p)))
 
     pos = 0
     try:
         while not parser.diags and (m := _STATEMENT_RE.match(text, pos)):
             pos = m.end()
             kind = m.lastgroup
+            start = m.start(kind)  # the statement's first line is the one to record
+            line, seen = line + text.count("\n", seen, start), start
             if kind == "edge":
                 if behavior is None:
                     return None
@@ -603,35 +617,39 @@ def _read_statements(text: str) -> _Parser | None:
             elif kind == "stage":
                 if not blocks:
                     return None
-                kw = token("action")
-                alias = m["alias"] and parser.named(token("alias"), "stage alias").value
-                parser.declare(model.add_stage, kw, blocks[-1], _KINDS[kw.value], alias)
+                alias = m["alias"] and parser.named(line, "stage alias", m["alias"])
+                parser.declare_stage(line, blocks[-1], m["action"], alias)
             elif kind == "thimac":
-                name = parser.named(token("thimac_name"), "thimac")
+                at = line + text.count("\n", seen, m.start("thimac_name"))
+                name = parser.named(at, "thimac", m["thimac_name"])
                 parent = blocks[-1] if blocks else None
-                blocks.append(parser.declare(model.add_thimac, name, name.value, parent))
+                blocks.append(parser.declare(model.add_thimac, at, name, parent))
             elif blocks:
                 return None
             elif kind == "flow" or kind == "trigger":
-                anchor = m["anchor"]
-                parser.arrows.append(_PendingArrow(
-                    token(kind, kind),
-                    m[kind + "_src"],
-                    m[kind + "_dst"],
-                    m["carries"],
-                    None if anchor is None else int(anchor),
-                ))
+                src, dst = stage_at.get(m[kind + "_src"]), stage_at.get(m[kind + "_dst"])
+                if src is None or dst is None:
+                    return None
+                if kind == "trigger":
+                    parser.declare(model.add_trigger, line, src, dst)
+                else:
+                    anchor = m["anchor"]
+                    parser.declare(model.add_flow, line, src, dst, m["carries"],
+                                   anchor and int(anchor))
             elif kind == "event":
                 name = parser.named(token("event_name"), "event")
                 time = m["lo"] and parser.interval(token("lo"), token("hi"))
-                refs = [ref.strip(" \t\r\n") for ref in m["refs"].split(",")]
-                parser.events.append((name, refs, time))
+                sids = [stage_at.get(ref.strip(" \t\r\n")) for ref in m["refs"].split(",")]
+                if None in sids:
+                    return None
+                parser.events.append((name, None, sids, time))
             else:  # behavior
                 behavior = (parser.named(token("behavior_name"), "behavior"), [])
     except _Skip:
         return None
     if parser.diags or blocks or behavior is not None or not _END_RE.match(text, pos):
         return None
+    stage_at.clear()  # every reference is resolved: free the table before resolve runs
     return parser
 
 

@@ -243,11 +243,14 @@ def _stage_table(model: StaticModel, chosen=()) -> dict[str, list]:
     entry of the default next stage, None at a stage with no way out;
     ``next`` is too, but None at a stage in ``chosen``, the only stages
     that count departures.  Rows are lists, as tuples freed at the end
-    would stay on CPython's free lists.
+    would stay on CPython's free lists.  A stage of a missing thimac, in a
+    hand-edited model, raises SimulationError.
     """
     targets = {g.dst for g in model.triggers.values()}
     table: dict[str, list] = {}
     for n, (sid, stage) in enumerate(model.stages.items()):
+        if stage.owner not in model.thimacs:
+            raise SimulationError(f"stage {sid} belongs to missing thimac {stage.owner!r}")
         kind = stage.kind
         born, woken = _fired(model, sid) if sid in model.triggers_from else ((), ())
         rests = sid not in model.flows_from or sid in targets and kind is not _C

@@ -133,6 +133,8 @@ TAKE_EDITS = {
     "c under a": (_reparented("c", "a"), "V10"),
     "a renamed": (lambda m: setattr(m.thimacs[m.thimac_at["a"]], "name", "z"), "V10"),
     "c.receive owned by missing t99": (_reowned("c.receive", "t99"), "V11"),
+    # a stage mid-way through take.scn's run: the run, not its rendering, refuses it
+    "b.receive owned by missing t99": (_reowned("b.receive", "t99"), "V11"),
     "c.receive owned by a": (_reowned("c.receive", "a"), "V11"),
     "a lists a missing stage": (_listed("a", ActionKind.PROCESS, "s99"), "V11"),
     "a lists c.receive": (_listed("a", ActionKind.RECEIVE, "c.receive"), "V11"),

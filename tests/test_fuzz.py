@@ -196,14 +196,14 @@ def check_hand_edited(model, events=(), behaviors=None):
     """Either ``validate`` reports an error, or the canonical text parses
     back clean to the same bytes, ``emit_dot`` returns, and the edited
     model runs as its re-parsed text does; and a run raises nothing but
-    SimulationError."""
+    SimulationError, nor rendering a run that returns."""
     scenario = "".join(
         f"inject 0 {model.thimac_path(tid)} x{tid}\n"
         for tid, thimac in model.thimacs.items() if ActionKind.CREATE in thimac.stages
     ) + "max 30\n"
     if any(d.severity == "error" for d in validate(model)):
         try:
-            run(model, load_scenario(model, scenario))
+            render_trace(model, run(model, load_scenario(model, scenario)))
         except SimulationError:
             pass
         return

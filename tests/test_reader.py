@@ -23,7 +23,7 @@ from conftest import chain_events, chain_texts
 from thimac import dsl
 from thimac.dsl import parse, serialize
 from thimac.events import EventError, TimeSubthimac, build_behavior, define_event
-from thimac.model import ActionKind, ModelError, new_model
+from thimac.model import ActionKind, ModelError, StaticModel, new_model
 
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = list(ActionKind)
@@ -172,11 +172,19 @@ A = "thimac a { create; release; }\n"
         pytest.param(A + "}", id="stray '}'"),
         pytest.param(A + "flow a . create -> a.release;", id="blanks in a reference"),
         pytest.param(A + "behavior b { flow a.create -> a.release; }", id="flow in a behavior"),
+        pytest.param("thimac a { transfer; }\nflow a.transfer -> b.transfer;\n"
+                     "thimac b { transfer; }", id="flow to a thimac declared later"),
+        pytest.param(A + "trigger a.create => b.process;\nthimac b { process; }",
+                     id="trigger to a thimac declared later"),
+        pytest.param(A + "event e { region [b.process] }\nthimac b { process; }",
+                     id="region in a thimac declared later"),
+        pytest.param(A + "flow a.release -> a.create;", id="illegal succession"),
+        pytest.param(A + "flow a.create -> a.process;", id="unknown stage"),
     ],
 )
 def test_the_reader_declines_and_the_token_parser_decides(text):
     assert dsl._read_statements(text) is None
-    assert parse(text) == token_parse(text)
+    assert parse(text) == token_parse(text)  # diagnostics included
 
 
 def test_a_second_behavior_of_one_name_is_reported_by_both_readers():
@@ -261,6 +269,19 @@ def test_shipped_and_benchmarked_models_take_the_reader(doc):
     text = doc.read_text() if isinstance(doc, Path) else doc
     assert dsl._read_statements(text) is not None
     assert parse(text) == token_parse(text)
+
+
+@pytest.mark.parametrize("doc", shipped_documents())
+def test_the_reader_neither_pends_an_arrow_nor_resolves_through_the_model(doc):
+    """The statement reader declares each flow and trigger as it reads it and
+    looks each reference up in its own table: with ``_PendingArrow`` and
+    ``StaticModel.resolve_stage_ref`` made to raise, it still gives the token
+    parser's result on every shipped and benchmarked document."""
+    text = doc.read_text() if isinstance(doc, Path) else doc
+    expected = token_parse(text)
+    with mock.patch.object(StaticModel, "resolve_stage_ref", side_effect=AssertionError), \
+            mock.patch.object(dsl, "_PendingArrow", side_effect=AssertionError):
+        assert parse(text) == expected
 
 
 @pytest.mark.parametrize(

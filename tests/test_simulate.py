@@ -437,6 +437,14 @@ def test_an_arrow_into_no_stage_is_a_simulation_error(name, corpus_dir):
         run(m, load_scenario(m, scn(corpus_dir, "take.scn")))
 
 
+def test_a_stage_of_a_missing_thimac_is_a_simulation_error(corpus_dir):
+    m = parse_corpus("take").model
+    TAKE_EDITS["b.receive owned by missing t99"][0](m)
+    scenario = load_scenario(m, scn(corpus_dir, "take.scn"))
+    with pytest.raises(simulate.SimulationError, match="stage s5 belongs to missing thimac 't99'"):
+        run(m, scenario)
+
+
 def test_repeated_event_needs_an_explicit_cycle(picnic):
     behavior = picnic.behaviors["afternoon"]
     inside = behavior.events["picnic_in_building"]
